@@ -235,9 +235,9 @@ cargo test --release -q --test crashpoint_fuzz -- --nocapture | tee "$out/crashp
 grep -q 'CRASHPOINT OK' "$out/crashpoint.log" || {
     echo "FAIL: crash-point fuzz gate did not pass"; exit 1; }
 
-echo "==> cross-backend conformance gate (sim / host / f32 matrix)"
+echo "==> cross-backend conformance gate (sim / host matrix)"
 # The full differential matrix (workloads x N x all four plans x {1,2,4}
-# threads across the three backends, DESIGN.md section 11) runs in well
+# threads across both backends, DESIGN.md section 11) runs in well
 # under a second in release mode, so CI takes the non---quick sweep. The
 # bin exits 1 on any contract violation; grep the verdict line anyway so a
 # silent early exit can never pass.

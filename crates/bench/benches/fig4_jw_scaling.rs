@@ -1,7 +1,7 @@
 //! Figure 4 bench: jw-parallel simulated kernel time across the N sweep.
 //! Criterion reports the *simulated device seconds* per evaluation; dividing
 //! the interaction count by the reported time reproduces the paper's GFLOPS
-//! curve (the `fig4` harness binary prints the curve directly).
+//! curve (`repro-all fig4` prints the curve directly).
 
 use bench::{kernel_seconds, simulated, workload};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

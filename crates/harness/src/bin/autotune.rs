@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p harness --release --bin autotune -- --spool <dir> \
 //!     [--workload plummer] [--n 1024] [--seed 1] \
-//!     [--objective total|kernel] [--top-k 8] [--backend auto|sim|host|f32]
+//!     [--objective total|kernel] [--top-k 8] [--backend auto|sim|host]
 //! ```
 //!
 //! Runs the same resolution `submit --plan auto` uses (DESIGN.md §13):
@@ -49,7 +49,7 @@ fn main() {
     let Some(spool_dir) = flag_value(&args, "--spool") else {
         eprintln!("usage: autotune --spool <dir> [--workload k] [--n N] [--seed S]");
         eprintln!("                [--objective total|kernel] [--top-k K]");
-        eprintln!("                [--backend auto|sim|host|f32]");
+        eprintln!("                [--backend auto|sim|host]");
         std::process::exit(2);
     };
     let kind = match flag_value(&args, "--workload") {

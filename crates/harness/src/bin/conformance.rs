@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Runs the `plans::conformance` matrix — workloads × N × all four plans ×
-//! host thread counts {1, 2, 4} across the sim, host, and f32 backends —
+//! host thread counts {1, 2, 4} across the sim and host backends —
 //! and prints the per-cell table plus the `CONFORMANCE OK/FAIL` verdict
 //! line ci.sh greps for. Exits 1 on any contract violation. `--quick`
 //! trims the matrix to one workload per shape class for the CI smoke run.

@@ -13,6 +13,18 @@
 //! need the dedicated `bench-pr10 --n 1048576` binary). Build with
 //! `--features alloc-count` to install the counting allocator and gate
 //! steady-state allocations at zero.
+//!
+//! A leading subcommand runs one artifact on its own instead of the suite:
+//!
+//! ```text
+//! repro-all fig4|fig5|table2|table3 [--quick] [--threads N] [--trace <path>] …
+//! repro-all table1|ptpm-report      [--quick] [--threads N] …
+//! repro-all drift [N=256] | imbalance [N=8192] | whatif [N=4096]  [--threads N]
+//! ```
+//!
+//! The first six take the suite's experiment flags (see
+//! `harness::try_config_from_args`); the last three take a body count and
+//! `--threads` only.
 
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
@@ -27,9 +39,63 @@ fn sibling_path(bench_path: &str, name: &str) -> String {
     }
 }
 
+/// Workload seed of the drift, imbalance and what-if studies.
+const STUDY_SEED: u64 = 20110101;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = harness::config_from_args(&args);
+    match args.first().map(String::as_str) {
+        Some(name @ ("drift" | "imbalance" | "whatif")) => study(name, &args[1..]),
+        Some(name @ ("fig4" | "fig5" | "table1" | "table2" | "table3" | "ptpm-report")) => {
+            artifact(name, &args[1..])
+        }
+        _ => suite(&args),
+    }
+}
+
+/// One paper artifact over the experiment grid; the figures and Tables 2–3
+/// also honour `--trace <path>`.
+fn artifact(name: &str, args: &[String]) {
+    let cfg = harness::config_from_args(args);
+    let steps = cfg.steps;
+    let mut runner = harness::Runner::new(cfg);
+    let text = match name {
+        "fig4" => harness::fig4::render(&harness::fig4::fig4(&mut runner)),
+        "fig5" => harness::fig5::render(&harness::fig5::fig5(&mut runner)),
+        "table1" => harness::table1::render(&harness::table1::table1(&mut runner), steps),
+        "table2" => harness::table2::render(&harness::table2::table2(&mut runner), steps),
+        "table3" => harness::table3::render(&harness::table3::table3(&mut runner), steps),
+        _ => harness::ptpm_report::render(&harness::ptpm_report::ptpm_report(&mut runner)),
+    };
+    print!("{text}");
+    if !matches!(name, "table1" | "ptpm-report") {
+        harness::error::or_exit(harness::trace_export::run_trace_flag(args, &mut runner));
+    }
+}
+
+/// One standalone study at the body count given as the first argument.
+fn study(name: &str, args: &[String]) {
+    harness::apply_threads_flag(args);
+    let n = |default: usize| args.first().and_then(|a| a.parse().ok()).unwrap_or(default);
+    let text = match name {
+        "drift" => {
+            let (n, t_total) = (n(256), 1.0);
+            let dts = [0.02, 0.01, 0.005, 0.0025];
+            let rows = harness::drift::drift_study(n, t_total, &dts, STUDY_SEED);
+            harness::drift::render(&rows, n, t_total)
+        }
+        "imbalance" => harness::imbalance::render(&harness::imbalance::imbalance_experiment(
+            n(8192),
+            STUDY_SEED,
+        )),
+        _ => harness::whatif::render(&harness::whatif::whatif(n(4096), STUDY_SEED)),
+    };
+    print!("{text}");
+}
+
+/// The full suite (no subcommand).
+fn suite(args: &[String]) {
+    let cfg = harness::config_from_args(args);
     let steps = cfg.steps;
     let json_path = args.iter().position(|a| a == "--json").and_then(|p| args.get(p + 1)).cloned();
     let bench_path = args.iter().position(|a| a == "--bench-json").map(|p| match args.get(p + 1) {
@@ -58,7 +124,7 @@ fn main() {
     }
 
     let mut runner = harness::Runner::new(results.config.clone());
-    harness::error::or_exit(harness::trace_export::run_trace_flag(&args, &mut runner));
+    harness::error::or_exit(harness::trace_export::run_trace_flag(args, &mut runner));
 
     if let Some(path) = bench_path {
         println!("\n== thread-pool wall-clock benchmark ==");

@@ -5,7 +5,7 @@
 //!     [--workload plummer] [--n 384] [--seed 1] [--plan jw-parallel|auto] \
 //!     [--steps 12] [--dt 1e-3] [--every 4] [--priority normal] \
 //!     [--deadline-s 0.5] [--tile 128] [--job-threads 4] \
-//!     [--backend auto|sim|host|f32] \
+//!     [--backend auto|sim|host] \
 //!     [--fault-seed 7] [--fault-prob 0.1] [--fault-loss-prob 0.01] \
 //!     [--count 1] [--wait] [--wait-timeout-s 120]
 //! ```
@@ -57,7 +57,7 @@ fn main() {
         eprintln!("usage: submit --spool <dir> [--workload k] [--n N] [--seed S] [--plan p|auto]");
         eprintln!("              [--steps K] [--dt D] [--every E] [--priority c]");
         eprintln!("              [--deadline-s T] [--tile W] [--job-threads H] [--count C]");
-        eprintln!("              [--backend auto|sim|host|f32]");
+        eprintln!("              [--backend auto|sim|host]");
         eprintln!("              [--fault-seed F] [--fault-prob P] [--fault-loss-prob Q]");
         std::process::exit(2);
     };

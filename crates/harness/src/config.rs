@@ -106,8 +106,8 @@ impl ExperimentConfig {
 
     /// A fresh backend for one evaluation stream. On the sim backend this
     /// wraps [`ExperimentConfig::device`], so the configured fault plan is
-    /// installed; the host and f32 backends ignore `fault_seed` (they have
-    /// no device to inject into — CLI parsing rejects the combination).
+    /// installed; the host backend ignores `fault_seed` (it has no device to
+    /// inject into — CLI parsing rejects the combination).
     pub fn make_backend(&self) -> Box<dyn Backend> {
         match self.backend_kind() {
             BackendKind::Sim => Box::new(SimBackend::new(self.device(), self.plan)),

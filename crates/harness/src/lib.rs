@@ -3,15 +3,20 @@
 //! The experiment harness: regenerates every table and figure of the PTPM
 //! N-body paper's evaluation section on the simulated device.
 //!
-//! | module | paper artifact | binary |
-//! |--------|----------------|--------|
-//! | [`fig4`] | Fig. 4 — jw-parallel GFLOPS vs N | `cargo run -p harness --release --bin fig4` |
-//! | [`fig5`] | Fig. 5 — GFLOPS of all four plans vs N | `--bin fig5` |
-//! | [`table1`] | Table 1 — CPU vs GPU running time, 100 steps | `--bin table1` |
-//! | [`table2`] | Table 2 — total time of the four plans | `--bin table2` |
-//! | [`table3`] | Table 3 — kernel-only time of the four plans | `--bin table3` |
+//! | module | paper artifact | command |
+//! |--------|----------------|---------|
+//! | [`fig4`] | Fig. 4 — jw-parallel GFLOPS vs N | `cargo run -p harness --release --bin repro-all -- fig4` |
+//! | [`fig5`] | Fig. 5 — GFLOPS of all four plans vs N | `repro-all fig5` |
+//! | [`table1`] | Table 1 — CPU vs GPU running time, 100 steps | `repro-all table1` |
+//! | [`table2`] | Table 2 — total time of the four plans | `repro-all table2` |
+//! | [`table3`] | Table 3 — kernel-only time of the four plans | `repro-all table3` |
+//! | [`ptpm_report`] | PTPM forecast vs simulator | `repro-all ptpm-report` |
+//! | [`imbalance`] | ragged-list load-imbalance ablation | `repro-all imbalance [N]` |
+//! | [`drift`] | integrator energy-drift study | `repro-all drift [N]` |
+//! | [`whatif`] | what-if device comparison | `repro-all whatif [N]` |
 //!
-//! `--bin repro-all` runs the full suite. Every binary accepts `--quick`
+//! `repro-all` with no subcommand runs the full suite. The suite and the
+//! figure/table subcommands accept `--quick`
 //! for a reduced sweep, `--faults <seed>` for deterministic fault
 //! injection (see [`faults`]), `--threads <N>` to pin the host
 //! worker-thread count (results are bit-exact across thread counts; the
@@ -19,14 +24,13 @@
 //! the out-of-core trio `--shards <N>` / `--mem-budget <bytes>` /
 //! `--device-tree` (Morton-sharded streaming and the on-device tree
 //! pipeline — bit-exact vs the in-core host path, gated by
-//! [`bench_pr10`]);
-//! `repro-all` additionally accepts `--bench-json [path]` to measure and
+//! [`bench_pr10`]); the three studies take a body count and `--threads`;
+//! the suite additionally accepts `--bench-json [path]` to measure and
 //! record the thread-pool wall-clock speedups (see [`bench_json`]) plus
 //! the seed-vs-optimized hot-path comparison (see [`bench_pr5`], written
 //! next to the thread-pool rows as `BENCH_pr5.json`; build with
 //! `--features alloc-count` to also gate steady-state heap allocations at
-//! zero); the
-//! figure/table binaries accept
+//! zero); the suite and the fig4/fig5/table2/table3 subcommands accept
 //! `--trace <path>` to also write an execution trace of all four plans
 //! (Chrome trace JSON, or CSV when the path ends in `.csv` — see
 //! [`trace_export`]). The `trace` binary captures traces without running
@@ -63,7 +67,7 @@ pub use runner::Runner;
 /// Parses the common CLI convention of the harness binaries: `--quick`
 /// selects the reduced sweep, `--max-n <N>` truncates the size sweep,
 /// `--faults <seed>` enables deterministic fault injection,
-/// `--backend auto|sim|host|f32` pins the execution backend (sim-only
+/// `--backend auto|sim|host` pins the execution backend (sim-only
 /// features like `--faults` are rejected on other backends), and
 /// `--threads <N>` pins the host worker-thread count (every result is
 /// bit-exact across thread counts; absent the flag, the `NBODY_THREADS`
@@ -211,18 +215,20 @@ mod tests {
     #[test]
     fn backend_flag_parses_and_guards_faults() {
         use plans::prelude::BackendKind;
-        for (value, kind) in [
-            ("auto", BackendKind::Auto),
-            ("sim", BackendKind::Sim),
-            ("host", BackendKind::Host),
-            ("f32", BackendKind::F32),
-        ] {
+        for (value, kind) in
+            [("auto", BackendKind::Auto), ("sim", BackendKind::Sim), ("host", BackendKind::Host)]
+        {
             let cfg = try_config_from_args(&["--backend".to_string(), value.to_string()]).unwrap();
             assert_eq!(cfg.backend, Some(kind));
         }
         assert_eq!(try_config_from_args(&[]).unwrap().backend, None);
-        let err = try_config_from_args(&["--backend".to_string(), "cuda".to_string()]).unwrap_err();
-        assert!(err.to_string().contains("--backend"), "{err}");
+        // unknown ids, including the retired `f32` stub, are typed errors
+        for bad in ["cuda", "f32"] {
+            let err =
+                try_config_from_args(&["--backend".to_string(), bad.to_string()]).unwrap_err();
+            assert!(matches!(err, error::HarnessError::BadFlag { .. }), "{err}");
+            assert!(err.to_string().contains("--backend"), "{err}");
+        }
         // fault injection is sim-only
         let args: Vec<String> =
             ["--backend", "host", "--faults", "7"].iter().map(|s| s.to_string()).collect();

@@ -7,8 +7,8 @@
 //! lanes for PCIe transfers and host markers); [`csv`] renders the same
 //! events as a flat table for spreadsheets and diff-based golden tests.
 //!
-//! Every repro binary accepts `--trace <path>` (see [`run_trace_flag`]);
-//! the `trace` binary exposes capture directly.
+//! `repro-all` and its figure/table subcommands accept `--trace <path>`
+//! (see [`run_trace_flag`]); the `trace` binary exposes capture directly.
 
 use crate::config::ExperimentConfig;
 use crate::error::HarnessError;
@@ -306,11 +306,11 @@ pub fn trace_flag(args: &[String]) -> Option<&str> {
     Some(args.get(pos + 1).map(String::as_str).unwrap_or("trace.json"))
 }
 
-/// Implements the repro binaries' `--trace <path>` flag: when present,
-/// captures all four plans at [`default_trace_n`] and writes the file. The
-/// runner is shared with the experiment so workloads and measurements are
-/// reused where sizes overlap. A failed write surfaces as a typed error so
-/// binaries exit non-zero instead of panicking.
+/// Implements the `--trace <path>` flag of `repro-all` and its subcommands:
+/// when present, captures all four plans at [`default_trace_n`] and writes
+/// the file. The runner is shared with the experiment so workloads and
+/// measurements are reused where sizes overlap. A failed write surfaces as
+/// a typed error so binaries exit non-zero instead of panicking.
 pub fn run_trace_flag(args: &[String], runner: &mut Runner) -> Result<(), HarnessError> {
     let Some(path) = trace_flag(args) else { return Ok(()) };
     let path = path.to_string();

@@ -69,7 +69,7 @@ pub struct BenchRecord {
 /// device primes the initial set once. Deterministic for a fixed spec.
 ///
 /// Trace contract (DESIGN.md §11): only the sim backend owns a device, so
-/// jobs pinned to the host or f32 backend get an *empty* trace — the
+/// jobs pinned to the host backend get an *empty* trace — the
 /// `trace.csv` artifact is then just the header.
 fn traced_evaluation(spec: &crate::spec::JobSpec) -> Trace {
     use gpu_sim::prelude::{Device, DeviceSpec, FaultPlan, TransferModel};
@@ -278,13 +278,11 @@ mod tests {
 
     #[test]
     fn non_sim_backends_emit_empty_traces() {
-        for backend in [plans::prelude::BackendKind::Host, plans::prelude::BackendKind::F32] {
-            let mut spec = JobSpec::new(WorkloadSpec::plummer(64, 5), PlanKind::IParallel, 1);
-            spec.backend = Some(backend);
-            let trace = traced_evaluation(&spec);
-            assert!(trace.is_empty(), "{backend:?} must not trace");
-            assert_eq!(trace_csv(&trace).trim_end(), TRACE_CSV_HEADER);
-        }
+        let mut spec = JobSpec::new(WorkloadSpec::plummer(64, 5), PlanKind::IParallel, 1);
+        spec.backend = Some(plans::prelude::BackendKind::Host);
+        let trace = traced_evaluation(&spec);
+        assert!(trace.is_empty(), "the host backend must not trace");
+        assert_eq!(trace_csv(&trace).trim_end(), TRACE_CSV_HEADER);
     }
 
     #[test]

@@ -235,7 +235,11 @@ mod tests {
         lifecycle(&tmp("det-b"), b.clone(), &mut Vec::new()).unwrap();
         assert_eq!(a.ops_used(), b.ops_used(), "mutation count must be reproducible");
         assert!(a.ops_used() >= 50, "lifecycle has {} mutations, want >= 50", a.ops_used());
-        std::fs::remove_dir_all(tmp("det-a").parent().unwrap()).ok();
+        // only this test's dirs: `sampled_prefixes_recover` shares the
+        // parent and may be running concurrently
+        for name in ["det-a", "det-b"] {
+            std::fs::remove_dir_all(tmp(name)).ok();
+        }
     }
 
     #[test]

@@ -537,11 +537,22 @@ mod tests {
     #[test]
     fn malformed_record_is_quarantined_not_fatal() {
         let (spool, _) = Spool::open(tmp("quarantine")).unwrap();
-        spool.submit(&spec(32, 1)).unwrap();
+        let good = spool.submit(&spec(32, 1)).unwrap();
         std::fs::write(spool.dir(JobState::Submitted).join("job-zzz.json"), "{nope").unwrap();
+        // a record naming the retired `F32` backend is malformed too: it is
+        // never run, cached, or re-hashed as sim
+        let retired = JobSpec { backend: Some(plans::prelude::BackendKind::Sim), ..spec(32, 2) };
+        let retired = spool.submit(&retired).unwrap();
+        let path = spool.dir(JobState::Submitted).join(retired.file_name());
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"Sim\""), "{text}");
+        std::fs::write(&path, text.replace("\"Sim\"", "\"F32\"")).unwrap();
         let listed = spool.list(JobState::Submitted).unwrap();
         assert_eq!(listed.len(), 1, "the good record survives");
-        assert_eq!(spool.count(JobState::Failed), 1, "the bad one is quarantined");
+        assert_eq!(listed[0].id, good.id);
+        assert_eq!(spool.count(JobState::Failed), 2, "both bad ones are quarantined");
+        let failed = spool.dir(JobState::Failed).join(retired.file_name());
+        assert!(std::fs::read_to_string(failed).unwrap().contains("\"F32\""));
         std::fs::remove_dir_all(spool.root()).ok();
     }
 

@@ -1,15 +1,18 @@
 //! PTPM-pruned autotuning across all four execution plans.
 //!
-//! [`crate::tune`] grid-searches one plan kind by measuring every candidate
-//! on the simulated device. This module generalizes it into the autotuner
-//! ROADMAP item 5 asks for: build the *joint* candidate grid over every
-//! `(plan kind, config)` pair, rank it with the paper's analytic model
-//! (`ptpm::model`) using the workload's **real** interaction-list geometry,
-//! and measure only a pruned shortlist. The PTPM forecast is exactly the
-//! argument the paper makes before measuring anything; here it saves most of
-//! the measurement budget, and a workspace test holds it to the bar that
-//! matters: the pruned shortlist must contain — and therefore select — the
-//! same winner as the full grid search.
+//! One payoff of a deterministic device model: tuning costs simulated
+//! seconds, not lab time. This generalizes the paper's hand-chosen
+//! parameters (p = 256 blocks, walk size, slice length) into a procedure:
+//! build the *joint* candidate grid over every `(plan kind, config)` pair
+//! ([`candidates`] per kind, [`full_grid`] jointly), rank it with the
+//! paper's analytic model (`ptpm::model`) using the workload's **real**
+//! interaction-list geometry, and measure only a pruned shortlist. The PTPM
+//! forecast is exactly the argument the paper makes before measuring
+//! anything; here it saves most of the measurement budget, and a workspace
+//! test holds it to the bar that matters: the pruned shortlist must contain
+//! — and therefore select — the same winner as the full grid search. An
+//! exhaustive search is [`measure`] over [`full_grid`] (or over one kind's
+//! [`candidates`]).
 //!
 //! ## What tuning may and may not change
 //!
@@ -33,7 +36,6 @@ use crate::j_parallel::auto_j_slices;
 use crate::jw_parallel::auto_slice_len;
 use crate::make_plan;
 use crate::tree_pipeline::predict_pipeline_shape;
-use crate::tune::{candidates, TuneObjective};
 use gpu_sim::prelude::{Device, DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::GravityParams;
@@ -57,6 +59,15 @@ pub const DEFAULT_SHORTLIST: usize = 8;
 /// tuner to learn whether the out-of-core path's per-shard overhead matters
 /// on this workload.
 pub const GRID_SHARDS: usize = 4;
+
+/// What the tuner optimizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TuneObjective {
+    /// Kernel-only simulated seconds (Table 3 semantics).
+    KernelTime,
+    /// End-to-end simulated seconds (Table 2 semantics).
+    TotalTime,
+}
 
 /// One `(plan kind, config)` point of the joint candidate grid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,6 +111,39 @@ pub struct AutotuneResult {
     /// True when re-evaluating the winner reproduced its forces bit-exactly
     /// (the replay invariant persisted tuning entries rely on).
     pub winner_reproducible: bool,
+}
+
+/// Candidate grid for a plan kind, derived from the device limits.
+pub fn candidates(kind: PlanKind, base: PlanConfig, spec: &DeviceSpec) -> Vec<PlanConfig> {
+    let max_wg = spec.max_workgroup_size as usize;
+    let mut out = Vec::new();
+    match kind {
+        PlanKind::IParallel | PlanKind::JParallel => {
+            for block in [64, 128, 256] {
+                if block <= max_wg {
+                    out.push(PlanConfig { block_size: block, ..base });
+                }
+            }
+        }
+        PlanKind::WParallel => {
+            for ws in [64, 128, 256] {
+                if ws <= max_wg {
+                    out.push(PlanConfig { walk_size: ws, ..base });
+                }
+            }
+        }
+        PlanKind::JwParallel => {
+            for ws in [64, 128, 256] {
+                if ws > max_wg {
+                    continue;
+                }
+                for slice in [None, Some(64), Some(256), Some(1024)] {
+                    out.push(PlanConfig { walk_size: ws, jw_slice_len: slice, ..base });
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The joint candidate grid: [`candidates`] of every plan kind, in the
@@ -401,6 +445,71 @@ mod tests {
         DeviceSpec::radeon_hd_5850()
     }
 
+    /// One kind's [`candidates`] as grid points.
+    fn kind_grid(kind: PlanKind, base: PlanConfig) -> Vec<Candidate> {
+        candidates(kind, base, &spec())
+            .into_iter()
+            .map(|config| Candidate { kind, config })
+            .collect()
+    }
+
+    fn argmin(points: &[MeasurePoint]) -> &MeasurePoint {
+        points.iter().min_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn grid_sizes_match_plan_structure() {
+        let base = PlanConfig::default();
+        assert_eq!(candidates(PlanKind::IParallel, base, &spec()).len(), 3);
+        assert_eq!(candidates(PlanKind::WParallel, base, &spec()).len(), 3);
+        assert_eq!(candidates(PlanKind::JwParallel, base, &spec()).len(), 12);
+    }
+
+    #[test]
+    fn tuned_config_never_loses_to_default() {
+        let set = nbody_core::testutil::random_set(2048, 1);
+        let objective = TuneObjective::KernelTime;
+        for kind in PlanKind::all() {
+            let best = argmin(&measure(
+                &kind_grid(kind, PlanConfig::default()),
+                &spec(),
+                &set,
+                &params(),
+                objective,
+            ))
+            .seconds;
+            // the default config is in (or dominated by) the grid
+            let default = [Candidate { kind, config: PlanConfig::default() }];
+            let default_s = measure(&default, &spec(), &set, &params(), objective)[0].seconds;
+            assert!(
+                best <= default_s * 1.0001,
+                "{}: tuned {best} vs default {default_s}",
+                kind.id()
+            );
+        }
+    }
+
+    #[test]
+    fn tuning_is_deterministic() {
+        let set = nbody_core::testutil::random_set(1024, 2);
+        let grid = kind_grid(PlanKind::JwParallel, PlanConfig::default());
+        let a = measure(&grid, &spec(), &set, &params(), TuneObjective::KernelTime);
+        let b = measure(&grid, &spec(), &set, &params(), TuneObjective::KernelTime);
+        assert_eq!(a, b);
+        assert_eq!(argmin(&a), argmin(&b));
+    }
+
+    #[test]
+    fn objectives_can_disagree() {
+        // kernel-optimal and total-optimal configs may differ (transfers and
+        // host work enter only the total); the kernel optimum is never slower
+        let set = nbody_core::testutil::random_set(512, 3);
+        let grid = kind_grid(PlanKind::JwParallel, PlanConfig::default());
+        let k = measure(&grid, &spec(), &set, &params(), TuneObjective::KernelTime);
+        let t = measure(&grid, &spec(), &set, &params(), TuneObjective::TotalTime);
+        assert!(argmin(&k).seconds <= argmin(&t).seconds);
+    }
+
     #[test]
     fn full_grid_unions_every_kind() {
         let grid = full_grid(PlanConfig::default(), &spec());
@@ -484,8 +593,7 @@ mod tests {
         for objective in [TuneObjective::KernelTime, TuneObjective::TotalTime] {
             let result = autotune(base, &spec(), &set, &params(), objective, DEFAULT_SHORTLIST);
             let full = measure(&full_grid(base, &spec()), &spec(), &set, &params(), objective);
-            let full_best =
-                full.iter().min_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap()).unwrap();
+            let full_best = argmin(&full);
             assert_eq!(result.best, full_best.candidate, "{objective:?}");
             assert_eq!(result.best_seconds, full_best.seconds, "{objective:?}");
         }

@@ -1,24 +1,22 @@
 //! Cross-backend differential conformance harness.
 //!
-//! Runs every [`Backend`] over a shared matrix of *cases × plans × thread
+//! Runs both [`Backend`]s over a shared matrix of *cases × plans × thread
 //! counts* and checks the backend contract (DESIGN.md §11):
 //!
 //! 1. **Thread invariance** — each backend's accelerations are bit-identical
 //!    at every host thread count;
-//! 2. **f32 replication** — [`BackendKind::F32`] reproduces
-//!    [`BackendKind::Sim`] to the bit (same interaction and pass counts);
-//! 3. **f64 references** — the host backend's PP plans are bit-exact against
+//! 2. **f64 references** — the host backend's PP plans are bit-exact against
 //!    the scalar f64 reference, its tree plans against
 //!    [`treecode::interaction_list::evaluate_walks_cpu`];
-//! 4. **f32 tier accuracy** — the f32 tier's relative L2 force error vs the
-//!    f64 tier is within [`f32_l2_bound`], an error-model band
+//! 3. **f32 accuracy** — the sim backend's (f32) relative L2 force error vs
+//!    the host backend (f64) is within [`f32_l2_bound`], an error-model band
 //!    `A · ε₃₂ · √N` (each f32 acceleration is a length-O(N) reduction of
 //!    correctly-rounded terms, so per-component relative error grows like
 //!    `√N·ε₃₂` for random summands; `A` absorbs the 1/r³ conditioning of
 //!    near neighbours);
-//! 5. **Fault contract** — fault injection exists only on the sim backend
+//! 4. **Fault contract** — fault injection exists only on the sim backend
 //!    and never changes delivered physics;
-//! 6. **Trace contract** — only the sim backend owns a device and emits
+//! 5. **Trace contract** — only the sim backend owns a device and emits
 //!    launch events.
 //!
 //! The harness is reusable: callers supply the particle sets (so `plans`
@@ -51,12 +49,13 @@ pub const EPS32: f64 = 5.960_464_477_539_063e-8;
 /// a genuinely broken kernel (error ~√N·ε or worse per term) slip through.
 pub const F32_L2_A: f64 = 64.0;
 
-/// Tolerance on the *difference* in relative energy drift between the f32
-/// and f64 tiers over a short integration ([`check_energy_drift`]).
+/// Tolerance on the *difference* in relative energy drift between the sim
+/// (f32) and host (f64) backends over a short integration
+/// ([`check_energy_drift`]).
 pub const DRIFT_TOL: f64 = 1e-3;
 
-/// The documented f32-tier force-error bound: relative L2 error of the f32
-/// tier against the f64 tier must stay below `A · ε₃₂ · √N`.
+/// The documented f32 force-error bound: relative L2 error of the sim
+/// backend against the host backend must stay below `A · ε₃₂ · √N`.
 pub fn f32_l2_bound(n: usize) -> f64 {
     F32_L2_A * EPS32 * (n as f64).sqrt()
 }
@@ -106,7 +105,8 @@ pub struct CellReport {
     pub n: usize,
     /// Thread counts every backend was checked at.
     pub threads: Vec<usize>,
-    /// Relative L2 error of the f32 tier against the f64 tier.
+    /// Relative L2 error of the sim (f32) forces against the host (f64)
+    /// forces.
     pub f32_rel_l2: f64,
     /// The bound that error was checked against.
     pub f32_bound: f64,
@@ -205,7 +205,7 @@ fn evaluate_at(
 }
 
 /// Checks one (case × plan) cell: thread invariance per backend, bitwise
-/// f32 ≡ sim, bitwise host ≡ f64 references, and the f32-tier L2 band.
+/// host ≡ f64 references, and the sim-vs-host L2 band.
 pub fn check_cell(
     case: &ConformanceCase,
     plan: PlanKind,
@@ -221,13 +221,10 @@ pub fn check_cell(
     let base = threads.first().copied().unwrap_or(1);
     let sim = evaluate_at(BackendKind::Sim, config, plan, set, &params, base);
     let host = evaluate_at(BackendKind::Host, config, plan, set, &params, base);
-    let f32b = evaluate_at(BackendKind::F32, config, plan, set, &params, base);
 
     // …then thread invariance for every backend at the remaining counts
     for &t in threads.iter().skip(1) {
-        for (kind, reference) in
-            [(BackendKind::Sim, &sim), (BackendKind::Host, &host), (BackendKind::F32, &f32b)]
-        {
+        for (kind, reference) in [(BackendKind::Sim, &sim), (BackendKind::Host, &host)] {
             let again = evaluate_at(kind, config, plan, set, &params, t);
             if again.acc != reference.acc {
                 failures.push(format!(
@@ -236,22 +233,6 @@ pub fn check_cell(
                 ));
             }
         }
-    }
-
-    // f32 replication of the sim oracle, to the bit
-    if f32b.acc != sim.acc {
-        let diverged = sim.acc.iter().zip(&f32b.acc).filter(|(a, b)| a != b).count();
-        failures.push(format!("f32 backend diverged from sim on {diverged}/{n} bodies"));
-    }
-    if f32b.interactions != sim.interactions {
-        failures.push(format!(
-            "interaction count mismatch: sim {} vs f32 {}",
-            sim.interactions, f32b.interactions
-        ));
-    }
-    if f32b.launches != sim.launches {
-        failures
-            .push(format!("pass count mismatch: sim {} vs f32 {}", sim.launches, f32b.launches));
     }
 
     // host against the f64 references, to the bit
@@ -270,8 +251,8 @@ pub fn check_cell(
         failures.push("host backend not bit-exact against the f64 reference".into());
     }
 
-    // f32 tier within the documented error band of the f64 tier
-    let f32_rel_l2 = rel_l2(&host.acc, &f32b.acc);
+    // sim (f32) within the documented error band of the host (f64)
+    let f32_rel_l2 = rel_l2(&host.acc, &sim.acc);
     let f32_bound = f32_l2_bound(n);
     // NaN must fail the band, so test the violation directly
     if f32_rel_l2.is_nan() || f32_rel_l2 > f32_bound {
@@ -295,14 +276,12 @@ pub fn check_cell(
 pub fn check_fault_contract(set: &ParticleSet, config: PlanConfig) -> Vec<String> {
     let params = default_params();
     let mut failures = Vec::new();
-    for kind in [BackendKind::Host, BackendKind::F32] {
-        let b = make_backend(kind, config);
-        if b.supports_fault_injection() {
-            failures.push(format!("{} backend claims fault injection", kind.id()));
-        }
-        if b.has_simulated_clock() {
-            failures.push(format!("{} backend claims a simulated clock", kind.id()));
-        }
+    let host = make_backend(BackendKind::Host, config);
+    if host.supports_fault_injection() {
+        failures.push("host backend claims fault injection".into());
+    }
+    if host.has_simulated_clock() {
+        failures.push("host backend claims a simulated clock".into());
     }
     let plan = PlanKind::JwParallel;
     let clean = make_backend(BackendKind::Sim, config).evaluate(plan, set, &params);
@@ -325,7 +304,7 @@ pub fn check_fault_contract(set: &ParticleSet, config: PlanConfig) -> Vec<String
 }
 
 /// Trace contract: the sim backend owns a device and emits launch events;
-/// host and f32 own no device, so per-job traces are empty for them.
+/// the host owns no device, so its per-job traces are empty.
 pub fn check_trace_contract(set: &ParticleSet, config: PlanConfig) -> Vec<String> {
     let params = default_params();
     let mut failures = Vec::new();
@@ -348,18 +327,16 @@ pub fn check_trace_contract(set: &ParticleSet, config: PlanConfig) -> Vec<String
     if trace.transfers.is_empty() {
         failures.push("sim backend emitted no transfer events".into());
     }
-    for kind in [BackendKind::Host, BackendKind::F32] {
-        if make_backend(kind, config).device().is_some() {
-            failures.push(format!("{} backend exposes a device", kind.id()));
-        }
+    if make_backend(BackendKind::Host, config).device().is_some() {
+        failures.push("host backend exposes a device".into());
     }
     failures
 }
 
-/// Energy-drift agreement: integrates `steps` leapfrog steps on the f64 and
-/// f32 tiers and requires their relative energy drifts to agree within
-/// [`DRIFT_TOL`] (both tiers run the same symplectic integrator; only force
-/// rounding may separate them).
+/// Energy-drift agreement: integrates `steps` leapfrog steps on the host
+/// (f64) and sim (f32) backends and requires their relative energy drifts
+/// to agree within [`DRIFT_TOL`] (both run the same symplectic integrator;
+/// only force rounding may separate them).
 pub fn check_energy_drift(set: &ParticleSet, config: PlanConfig, steps: usize) -> Vec<String> {
     let params = default_params();
     let mut failures = Vec::new();
@@ -377,12 +354,12 @@ pub fn check_energy_drift(set: &ParticleSet, config: PlanConfig, steps: usize) -
         ((total_energy(&local, &params) - e0) / e0).abs()
     };
     let host = drift(BackendKind::Host);
-    let f32d = drift(BackendKind::F32);
-    let gap = (host - f32d).abs();
+    let sim = drift(BackendKind::Sim);
+    let gap = (host - sim).abs();
     // a NaN gap (non-finite energies) must count as disagreement
     if gap.is_nan() || gap > DRIFT_TOL {
         failures.push(format!(
-            "energy drift disagreement: host {host:.3e} vs f32 {f32d:.3e} (tol {DRIFT_TOL:.1e})"
+            "energy drift disagreement: host {host:.3e} vs sim {sim:.3e} (tol {DRIFT_TOL:.1e})"
         ));
     }
     failures

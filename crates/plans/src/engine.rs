@@ -5,7 +5,7 @@
 //! they drive the CPU engines — this is what the paper's Table 1 measures
 //! (100 steps of the full loop). The engine accumulates the simulated
 //! device time and the per-evaluation outcomes so callers can report time
-//! splits afterwards. On backends without a simulated clock (host, f32)
+//! splits afterwards. On a backend without a simulated clock (the host)
 //! those accumulators simply stay zero.
 
 use crate::backend::{Backend, BackendKind, SimBackend};
@@ -83,7 +83,7 @@ impl PlanForceEngine {
     }
 
     /// The underlying simulated device, when the backend has one (e.g. to
-    /// inspect fault counts). `None` on host/f32 backends.
+    /// inspect fault counts). `None` on the host backend.
     pub fn device(&self) -> Option<&Device> {
         self.backend.device()
     }
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn engine_runs_on_every_backend() {
-        for backend_kind in [BackendKind::Sim, BackendKind::Host, BackendKind::F32] {
+        for backend_kind in [BackendKind::Sim, BackendKind::Host] {
             let mut set = random_set(64, 9);
             set.recenter();
             let mut eng = PlanForceEngine::with_backend(

@@ -16,29 +16,40 @@ fn main() {
     let spec = DeviceSpec::radeon_hd_5850();
 
     println!("Tuning jw-parallel for N = {n} on {} ...\n", spec.name);
-    let result = plans::tune::tune(
-        PlanKind::JwParallel,
-        PlanConfig::default(),
-        &spec,
-        &set,
-        &params,
-        TuneObjective::KernelTime,
-    );
-    println!("{:>10} {:>12} {:>14}", "walk size", "slice len", "kernel time");
-    for point in &result.trace {
+    // an exhaustive search: measure the jw-parallel slice of the joint grid
+    let jw: Vec<Candidate> = full_grid(PlanConfig::default(), &spec)
+        .into_iter()
+        .filter(|c| c.kind == PlanKind::JwParallel)
+        .collect();
+    let measured = measure(&jw, &spec, &set, &params, TuneObjective::KernelTime);
+    let best = measured
+        .iter()
+        .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap())
+        .expect("non-empty grid")
+        .candidate
+        .config;
+    println!("{:>10} {:>12} {:>12} {:>14}", "walk size", "slice len", "variant", "kernel time");
+    for point in &measured {
+        let config = point.candidate.config;
+        let variant = if config.device_tree {
+            "device-tree".to_string()
+        } else {
+            config.shards.map(|s| format!("{s} shards")).unwrap_or_else(|| "in-core".to_string())
+        };
         println!(
-            "{:>10} {:>12} {:>11.3} ms{}",
-            point.config.walk_size,
-            point.config.jw_slice_len.map(|l| l.to_string()).unwrap_or_else(|| "auto".to_string()),
+            "{:>10} {:>12} {:>12} {:>11.3} ms{}",
+            config.walk_size,
+            config.jw_slice_len.map(|l| l.to_string()).unwrap_or_else(|| "auto".to_string()),
+            variant,
             point.seconds * 1e3,
-            if point.config == result.best { "  <- best" } else { "" }
+            if config == best { "  <- best" } else { "" }
         );
     }
 
     println!("\nValidating the tuned configuration (race-checked, vs f64 reference):");
     let report = plans::validate::validate_plan(
         PlanKind::JwParallel,
-        result.best,
+        best,
         &spec,
         &set,
         &params,

@@ -1,15 +1,13 @@
-//! The cross-backend differential conformance suite (ISSUE 7 acceptance
-//! gate): every backend over a shared matrix of workloads × N × plans ×
-//! thread counts.
+//! The cross-backend differential conformance suite: both backends over a
+//! shared matrix of workloads × N × plans × thread counts.
 //!
 //! The checks themselves live in `plans::conformance` (see DESIGN.md §11
 //! for the contract); this test pins the acceptance matrix:
 //!
-//! * sim ↔ f32 bit-exactness and per-backend thread invariance at
-//!   {1, 2, 4} threads on every cell,
+//! * per-backend thread invariance at {1, 2, 4} threads on every cell,
 //! * host f64 bit-exactness against the scalar PP / treecode references,
-//! * the f32 tier's relative L2 force error within the documented
-//!   `A·ε₃₂·√N` bound on every cell,
+//! * the sim (f32) relative L2 force error against the host (f64) within
+//!   the documented `A·ε₃₂·√N` bound on every cell,
 //! * the fault, trace, and energy-drift contracts as backend-generic
 //!   properties.
 
@@ -49,8 +47,9 @@ fn full_matrix_meets_the_backend_contract() {
             cell.f32_rel_l2,
             cell.f32_bound
         );
-        // the band is meaningful: f32 really is off the f64 bits, just
-        // within bound (identical results would suggest a wired-up oracle)
+        // the band is meaningful: sim (f32) really is off the host (f64)
+        // bits, just within bound (identical results would suggest a
+        // wired-up oracle)
         assert!(cell.f32_rel_l2 > 0.0, "{}/{}", cell.case, cell.plan.id());
     }
 }

@@ -277,54 +277,47 @@ fn traces_are_well_formed_for_arbitrary_clouds() {
 
 #[test]
 fn tuner_winner_always_comes_from_the_candidate_grid() {
-    // the tuner is a pure argmin over its candidate grid: whatever the
-    // workload, the winner must be a grid member, the trace must cover the
-    // grid exactly, and the reported optimum must really be the minimum
+    // the autotuner is an argmin over a measured subset of the joint grid:
+    // whatever the workload and shortlist size, the winner must be a
+    // measured point, every measured point a grid member, and the reported
+    // optimum really the minimum
     let mut rng = XorShift64::new(0xC1);
     let spec = DeviceSpec::radeon_hd_5850();
+    let base = PlanConfig::default();
+    let grid = full_grid(base, &spec);
     for case in 0..8 {
         let bodies = arb_bodies(&mut rng, 300);
         let set = ParticleSet::from_bodies(&bodies);
         let params = GravityParams { g: 1.0, softening: 0.05 };
-        let kind = PlanKind::all()[case % 4];
         let objective =
             if case % 2 == 0 { TuneObjective::KernelTime } else { TuneObjective::TotalTime };
-        let base = PlanConfig::default();
-        let result = tune(kind, base, &spec, &set, &params, objective);
-        let grid = candidates(kind, base, &spec);
+        let result = autotune(base, &spec, &set, &params, objective, 1 + case);
         assert!(
-            grid.contains(&result.best),
-            "{}: tuned config {:?} not in the candidate grid",
-            kind.id(),
+            result.measured.iter().any(|p| p.candidate == result.best),
+            "winner {:?} was never measured",
             result.best
         );
-        assert_eq!(result.trace.len(), grid.len(), "{}: trace must cover the grid", kind.id());
-        for point in &result.trace {
-            assert!(grid.contains(&point.config), "{}: stray candidate", kind.id());
+        for point in &result.measured {
+            assert!(grid.contains(&point.candidate), "stray candidate {:?}", point.candidate);
             assert!(point.seconds.is_finite() && point.seconds >= 0.0);
-            assert!(result.best_seconds <= point.seconds, "{}: argmin violated", kind.id());
+            assert!(result.best_seconds <= point.seconds, "argmin violated");
         }
     }
 }
 
 #[test]
 fn tuned_host_tile_is_a_candidate_and_reproduces_bit_exact_forces() {
-    // the host-tile tuner picks by wall clock, which varies per machine —
+    // the host-tile probe picks by wall clock, which varies per machine —
     // but the winner must come from TILE_CANDIDATES and must never move a
-    // float: forces under the tuned tile are bit-identical to the default
+    // float: forces under the probed tile are bit-identical to the default
     // tile and to the scalar reference
     let mut rng = XorShift64::new(0xC2);
     for _ in 0..6 {
         let bodies = arb_bodies(&mut rng, 280);
         let set = ParticleSet::from_bodies(&bodies);
         let params = GravityParams { g: 1.0, softening: 0.05 };
-        let (best, trace) = tune_host_tile(&set, &params);
+        let best = nbody_core::soa::auto_probe_tile();
         assert!(nbody_core::soa::TILE_CANDIDATES.contains(&best));
-        assert_eq!(trace.len(), nbody_core::soa::TILE_CANDIDATES.len());
-        for (point, &tile) in trace.iter().zip(&nbody_core::soa::TILE_CANDIDATES) {
-            assert_eq!(point.tile, tile, "trace order must follow the candidate grid");
-            assert!(point.seconds.is_finite() && point.seconds >= 0.0);
-        }
 
         let mut reference = vec![Vec3::ZERO; set.len()];
         accelerations_pp(&set, &params, &mut reference);
@@ -339,8 +332,8 @@ fn tuned_host_tile_is_a_candidate_and_reproduces_bit_exact_forces() {
             nbody_core::soa::tile(),
             &mut default_tile,
         );
-        assert_eq!(tuned, default_tile, "tuned tile {best} diverged from the default tile");
-        assert_eq!(tuned, reference, "tuned tile {best} diverged from the scalar reference");
+        assert_eq!(tuned, default_tile, "probed tile {best} diverged from the default tile");
+        assert_eq!(tuned, reference, "probed tile {best} diverged from the scalar reference");
     }
 }
 
