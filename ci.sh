@@ -251,4 +251,39 @@ echo "==> allocation-regression gate (zero allocs per steady-state step)"
 # warmup; run it in release so the gate matches shipping codegen.
 cargo test --release -q --test alloc_steady_state
 
+echo "==> kernel asm spot check (packed sqrt/div in both sweep builds, no FMA)"
+# nbody_core::soa::sweep is the lane loop of the tiled PP kernel and the
+# packed walk-group kernel; it dispatches at run time to an AVX2 build or
+# the baseline build of one body. Both builds must keep the branch-free
+# lane loops vectorized, and the AVX2 build must never contract to FMA,
+# which would change the bits the exactness tests pin. The release test
+# binary the allocation gate just built links both builds.
+case "$(uname -m)" in
+x86_64)
+    asm_bin="$(cargo test --release --no-run --test alloc_steady_state 2>&1 \
+        | sed -n 's/.*Executable .*(\(.*\))$/\1/p')"
+    test -x "$asm_bin" || { echo "FAIL: release alloc_steady_state binary not found"; exit 1; }
+    objdump -d --no-show-raw-insn "$asm_bin" > "$out/kernels.asm"
+    # the instructions of every function whose symbol contains $1
+    fn_asm() {
+        awk -v name="$1" '/^[0-9a-f]+ <.*>:$/ { inside = index($0, name) > 0 } inside' \
+            "$out/kernels.asm"
+    }
+    fn_asm nbody_core3soa14sweep_portable > "$out/sweep-portable.asm"
+    fn_asm nbody_core3soa10sweep_avx2 > "$out/sweep-avx2.asm"
+    for op in sqrtpd divpd; do
+        grep -Eq "[[:space:]]$op[[:space:]]" "$out/sweep-portable.asm" || {
+            echo "FAIL: the portable sweep has no packed $op"; exit 1; }
+    done
+    for op in vsqrtpd vdivpd; do
+        grep -Eq "[[:space:]]$op[[:space:]].*ymm" "$out/sweep-avx2.asm" || {
+            echo "FAIL: the AVX2 sweep has no $op on ymm registers"; exit 1; }
+    done
+    if grep -q vfmadd "$out/sweep-avx2.asm"; then
+        echo "FAIL: the AVX2 sweep contains FMA instructions"; exit 1
+    fi
+    ;;
+*) echo "SKIP: the sweep asm check reads x86_64 instructions" ;;
+esac
+
 echo "CI OK"

@@ -23,6 +23,12 @@
 //! accumulator lanes — so the sqrt/div pipeline vectorizes while each row's
 //! chain stays sequential.
 //!
+//! The lane loop itself is [`sweep`]: one call adds a run of packed sources
+//! onto a tile's rows. The tree path's walk-group kernel
+//! (`treecode::interaction_list::evaluate_group_packed`) drives the same
+//! sweep with interaction-list sources, so both kernels share one loop and
+//! one run-time AVX2 dispatch.
+//!
 //! The tile size is a pure performance knob resolved by [`tile`]: an
 //! explicit [`set_tile`], else the `NBODY_TILE` environment variable, else a
 //! small one-time auto-probe ([`auto_probe_tile`]) that times the candidates
@@ -195,55 +201,151 @@ pub fn auto_probe_tile() -> usize {
     best.1
 }
 
-/// Accumulates the contributions of sources `0..n` (skipping `j == i`) onto
-/// the rows `row0..row0 + rb`, in ascending-`j` order per row.
+/// The target rows of one tile: the position lanes a [`sweep`] reads and
+/// the accumulator lanes it adds into, all of one length.
+#[derive(Debug)]
+pub struct RowLanes<'a> {
+    xs: &'a [f64],
+    ys: &'a [f64],
+    zs: &'a [f64],
+    axs: &'a mut [f64],
+    ays: &'a mut [f64],
+    azs: &'a mut [f64],
+}
+
+impl<'a> RowLanes<'a> {
+    /// Builds the rows from position lanes and accumulator lanes.
+    ///
+    /// # Panics
+    /// Panics if the six lanes disagree in length.
+    pub fn new(
+        xs: &'a [f64],
+        ys: &'a [f64],
+        zs: &'a [f64],
+        axs: &'a mut [f64],
+        ays: &'a mut [f64],
+        azs: &'a mut [f64],
+    ) -> Self {
+        let rb = axs.len();
+        for len in [xs.len(), ys.len(), zs.len(), ays.len(), azs.len()] {
+            assert_eq!(len, rb, "row lane length mismatch");
+        }
+        Self { xs, ys, zs, axs, ays, azs }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.axs.len()
+    }
+
+    /// True if there are no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.axs.is_empty()
+    }
+}
+
+/// A run of sources that are also rows of the tile: source `source + t` is
+/// row `row + t` for every `t < len`. A [`sweep`] skips exactly these
+/// self-pairs; `len == 0` ([`Diagonal::NONE`]) skips none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Diagonal {
+    /// First source of the run.
+    pub source: usize,
+    /// The row that first source coincides with.
+    pub row: usize,
+    /// Length of the run.
+    pub len: usize,
+}
+
+impl Diagonal {
+    /// No source is a row.
+    pub const NONE: Diagonal = Diagonal { source: 0, row: 0, len: 0 };
+}
+
+/// Adds the contribution of every source of `sources`, in order, onto every
+/// row of `rows`, skipping the self-pairs `diagonal` names.
 ///
-/// The inner loop runs over the rows of the tile — independent accumulator
-/// lanes, so it vectorizes — while each row keeps one sequential summation
-/// chain across the whole `j` sweep, which is what makes the result
-/// bit-identical to the scalar reference. The `i == j` self-interaction is
-/// excluded by a lane select (the discarded lane may compute a NaN at zero
-/// softening; it is never merged).
+/// The source loop is outer and the row loop inner, so each row keeps one
+/// sequential summation chain across the whole sweep — the order that makes
+/// every caller bit-identical to its scalar reference — while the inner loop
+/// runs over independent accumulator lanes and vectorizes. Only the
+/// diagonal's sources pay the self-pair select (see DESIGN.md §9); the
+/// sources around it run the branch-free lane loop.
 ///
-/// `inline(never)`: inlined into the caller's tile loop LLVM stops
-/// auto-vectorizing the lane sweeps (verified on the emitted asm — scalar
-/// `sqrtsd` only); as a standalone function the pure ranges compile to
-/// packed `sqrtpd`/`divpd`. One call per tile block is noise next to the
-/// `rb * n` interactions inside.
+/// On `x86_64` CPUs with AVX2 the sweep runs an AVX2 build of the same body:
+/// `fma` stays disabled and Rust never contracts `a * b + c`, so both builds
+/// round every operation identically and return the same bits.
+///
+/// # Panics
+/// Panics if the diagonal reaches past the sources or the rows.
+pub fn sweep(rows: &mut RowLanes<'_>, sources: SoaView<'_>, diagonal: Diagonal, eps_sq: f64) {
+    assert!(
+        diagonal.source + diagonal.len <= sources.len()
+            && diagonal.row + diagonal.len <= rows.len(),
+        "diagonal {diagonal:?} outside {} sources x {} rows",
+        sources.len(),
+        rows.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `sweep_avx2` requires only that the CPU supports AVX2,
+        // which the run-time check above has just confirmed.
+        return unsafe { sweep_avx2(rows, sources, diagonal, eps_sq) };
+    }
+    sweep_portable(rows, sources, diagonal, eps_sq)
+}
+
+/// The baseline-target build of [`sweep_body`] (SSE2 on `x86_64`).
+///
+/// `inline(never)`, as is the AVX2 build: inlined into a caller's tile loop
+/// LLVM stops auto-vectorizing the lane loops (verified on the emitted asm —
+/// scalar `sqrtsd` only); as standalone functions they compile to packed
+/// `sqrtpd`/`divpd`. `ci.sh` checks both builds in the release binary.
 #[inline(never)]
-fn pp_tile_block(
-    view: SoaView<'_>,
-    row0: usize,
+fn sweep_portable(rows: &mut RowLanes<'_>, sources: SoaView<'_>, diagonal: Diagonal, eps_sq: f64) {
+    sweep_body(rows, sources, diagonal, eps_sq)
+}
+
+/// The AVX2 build of [`sweep_body`]: packed `ymm` arithmetic, no FMA.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+unsafe fn sweep_avx2(
+    rows: &mut RowLanes<'_>,
+    sources: SoaView<'_>,
+    diagonal: Diagonal,
     eps_sq: f64,
-    axs: &mut [f64],
-    ays: &mut [f64],
-    azs: &mut [f64],
 ) {
-    let rb = axs.len();
-    let n = view.len();
-    let xs = &view.xs[..n];
-    let ys = &view.ys[..n];
-    let zs = &view.zs[..n];
-    let ms = &view.ms[..n];
-    let ix = &xs[row0..row0 + rb];
-    let iy = &ys[row0..row0 + rb];
-    let iz = &zs[row0..row0 + rb];
-    // The j sweep splits at the diagonal: sources j ∈ [row0, row0+rb) are
-    // the only ones that can coincide with a tile row, so only that narrow
-    // middle range pays the self-interaction lane select. The two outer
-    // ranges run the branch-free lane loop, which the compiler vectorizes
-    // (sqrt/div across independent rows). Each row still accumulates its
-    // sources in one strictly j-ascending chain across all three ranges —
-    // the order that makes the result bit-identical to the scalar kernel.
-    let mid0 = row0.min(n);
-    let mid1 = (row0 + rb).min(n);
-    for j in 0..mid0 {
+    sweep_body(rows, sources, diagonal, eps_sq)
+}
+
+#[inline(always)]
+fn sweep_body(rows: &mut RowLanes<'_>, sources: SoaView<'_>, diagonal: Diagonal, eps_sq: f64) {
+    let rb = rows.len();
+    let n = sources.len();
+    let xs = &sources.xs[..n];
+    let ys = &sources.ys[..n];
+    let zs = &sources.zs[..n];
+    let ms = &sources.ms[..n];
+    let ix = &rows.xs[..rb];
+    let iy = &rows.ys[..rb];
+    let iz = &rows.zs[..rb];
+    let axs = &mut rows.axs[..rb];
+    let ays = &mut rows.ays[..rb];
+    let azs = &mut rows.azs[..rb];
+    let d0 = diagonal.source;
+    let d1 = d0 + diagonal.len;
+    for j in 0..d0 {
         lanes_accumulate(ix, iy, iz, axs, ays, azs, xs[j], ys[j], zs[j], ms[j], eps_sq);
     }
-    for j in mid0..mid1 {
+    for j in d0..d1 {
         let (xj, yj, zj, mj) = (xs[j], ys[j], zs[j], ms[j]);
-        let ays = &mut ays[..rb];
-        let azs = &mut azs[..rb];
+        let own = diagonal.row + (j - d0);
         for k in 0..rb {
             // identical expression tree to gravity::pair_acceleration
             let dx = xj - ix[k];
@@ -257,13 +359,13 @@ fn pp_tile_block(
             // by adding a masked 0.0: `-0.0 + 0.0` would flip the sign, and
             // at eps = 0 the discarded lane holds a NaN that must never be
             // merged into the sum
-            let keep = row0 + k != j;
+            let keep = k != own;
             axs[k] = if keep { axs[k] + dx * s } else { axs[k] };
             ays[k] = if keep { ays[k] + dy * s } else { ays[k] };
             azs[k] = if keep { azs[k] + dz * s } else { azs[k] };
         }
     }
-    for j in mid1..n {
+    for j in d1..n {
         lanes_accumulate(ix, iy, iz, axs, ays, azs, xs[j], ys[j], zs[j], ms[j], eps_sq);
     }
 }
@@ -272,7 +374,7 @@ fn pp_tile_block(
 /// provably in bounds and there is no select, so the loop auto-vectorizes.
 /// Callers guarantee source `j` is not one of the tile rows.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn lanes_accumulate(
     ix: &[f64],
     iy: &[f64],
@@ -336,7 +438,17 @@ pub fn pp_rows_tiled(
         axs[..rb].fill(0.0);
         ays[..rb].fill(0.0);
         azs[..rb].fill(0.0);
-        pp_tile_block(view, row, eps_sq, &mut axs[..rb], &mut ays[..rb], &mut azs[..rb]);
+        // the rows are sources `row..row + rb` of the view: that run is
+        // the tile's diagonal
+        let mut lanes = RowLanes::new(
+            &view.xs[row..row + rb],
+            &view.ys[row..row + rb],
+            &view.zs[row..row + rb],
+            &mut axs[..rb],
+            &mut ays[..rb],
+            &mut azs[..rb],
+        );
+        sweep(&mut lanes, view, Diagonal { source: row, row: 0, len: rb }, eps_sq);
         for k in 0..rb {
             out[written + k] = Vec3::new(axs[k] * g, ays[k] * g, azs[k] * g);
         }
@@ -533,6 +645,60 @@ mod tests {
         let mut acc = vec![Vec3::ONE; 1];
         accelerations_pp_tiled_with(soa.view(), &params, 8, &mut acc);
         assert_eq!(acc[0], Vec3::ZERO, "lone body feels no force");
+    }
+
+    /// Runs one sweep through `f` onto fresh non-zero accumulators and
+    /// returns their bits.
+    fn sweep_with(
+        f: impl Fn(&mut RowLanes<'_>, SoaView<'_>, Diagonal, f64),
+        rows: &SoaBodies,
+        sources: &SoaBodies,
+        diagonal: Diagonal,
+        eps_sq: f64,
+    ) -> Vec<[u64; 3]> {
+        let rb = rows.len();
+        let (mut axs, mut ays, mut azs) = (vec![0.25; rb], vec![-0.5; rb], vec![0.0; rb]);
+        let view = rows.view();
+        let mut lanes = RowLanes::new(view.xs, view.ys, view.zs, &mut axs, &mut ays, &mut azs);
+        f(&mut lanes, sources.view(), diagonal, eps_sq);
+        (0..rb).map(|k| [axs[k].to_bits(), ays[k].to_bits(), azs[k].to_bits()]).collect()
+    }
+
+    #[test]
+    fn dispatched_sweep_matches_the_portable_build_bitwise() {
+        // On a CPU with AVX2 `sweep` runs the AVX2 build and this compares
+        // it with the baseline build; on a CPU without AVX2 both calls run
+        // the baseline build, and the test still pins the dispatch path.
+        let mut soa = SoaBodies::new();
+        soa.fill_from(&random_set(300, 8));
+        let mut rows = SoaBodies::new();
+        rows.fill_from(&random_set(37, 9));
+        for eps_sq in [0.05 * 0.05, 1e-300, 0.0] {
+            for diagonal in [
+                Diagonal::NONE,
+                Diagonal { source: 0, row: 0, len: 37 },
+                Diagonal { source: 120, row: 5, len: 30 },
+                Diagonal { source: 299, row: 36, len: 1 },
+            ] {
+                let dispatched = sweep_with(sweep, &rows, &soa, diagonal, eps_sq);
+                let portable = sweep_with(sweep_portable, &rows, &soa, diagonal, eps_sq);
+                assert_eq!(dispatched, portable, "eps_sq {eps_sq}, {diagonal:?}");
+            }
+        }
+        // the sources as their own rows at eps = 0: every diagonal lane is
+        // a NaN the select must drop in both builds
+        let diagonal = Diagonal { source: 0, row: 0, len: soa.len() };
+        let dispatched = sweep_with(sweep, &soa, &soa, diagonal, 0.0);
+        assert_eq!(dispatched, sweep_with(sweep_portable, &soa, &soa, diagonal, 0.0));
+        assert!(dispatched.iter().flatten().all(|&b| f64::from_bits(b).is_finite()));
+    }
+
+    #[test]
+    #[should_panic(expected = "diagonal")]
+    fn diagonal_past_the_rows_is_rejected() {
+        let mut soa = SoaBodies::new();
+        soa.fill_from(&random_set(8, 10));
+        sweep_with(sweep, &soa, &soa, Diagonal { source: 0, row: 4, len: 5 }, 0.0);
     }
 
     #[test]

@@ -25,12 +25,12 @@ use crate::common::{PlanConfig, PlanKind, PlanOutcome};
 use gpu_sim::device::Device;
 use gpu_sim::prelude::{DeviceSpec, TransferModel};
 use nbody_core::body::ParticleSet;
-use nbody_core::gravity::{pair_acceleration, GravityParams};
+use nbody_core::gravity::GravityParams;
 use nbody_core::soa::{accelerations_pp_tiled_parallel, accelerations_pp_tiled_with, SoaBodies};
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use treecode::interaction_list::{build_walks, WalkSet};
+use treecode::interaction_list::{build_walks, evaluate_group_packed, tree_ranks, WalkSet};
 use treecode::mac::OpeningAngle;
 use treecode::morton::keys_in_order;
 use treecode::shards::MortonShards;
@@ -45,7 +45,7 @@ pub enum BackendKind {
     /// The simulated device — deterministic oracle with simulated clocks,
     /// fault injection, and execution traces.
     Sim,
-    /// The host f64 path: SoA tiled PP and the CPU treecode evaluator.
+    /// The host f64 path: SoA tiled PP and the packed walk-group kernel.
     Host,
 }
 
@@ -191,8 +191,11 @@ impl Backend for SimBackend {
 
 /// The host f64 backend: PP plans run the SoA tiled kernel (bit-exact
 /// against the scalar reference at every tile size and thread count), tree
-/// plans run the CPU treecode evaluator parallelized over walk groups
-/// (groups own disjoint bodies, so the scatter is deterministic).
+/// plans run the packed walk-group kernel
+/// ([`evaluate_group_packed`], bit-exact against
+/// [`treecode::interaction_list::evaluate_walks_cpu`]) parallelized over
+/// walk groups (groups own disjoint bodies, so the scatter is
+/// deterministic).
 ///
 /// No simulated clocks: `kernel_s`/`transfer_s`/`recovery_s` are zero and
 /// `launches` is zero; only the informational wall-clock `host_measured_s`
@@ -234,14 +237,19 @@ impl HostBackend {
         walks: &WalkSet,
     ) -> MortonShards {
         let ws = self.config.walk_size;
-        let keys = keys_in_order(set, tree.order());
         if let Some(count) = self.config.shards {
-            return MortonShards::by_count(&keys, ws, count);
+            return MortonShards::by_count(&keys_in_order(set, tree.order()), ws, count);
         }
         if let Some(budget) = self.config.mem_budget_bytes {
             let bytes: Vec<usize> =
                 walks.groups.iter().map(|g| 16 * g.list_len() + 4 * ws).collect();
-            return MortonShards::by_budget(&keys, ws, &bytes, 0, budget);
+            return MortonShards::by_budget(
+                &keys_in_order(set, tree.order()),
+                ws,
+                &bytes,
+                0,
+                budget,
+            );
         }
         MortonShards::unsharded(set.len(), ws)
     }
@@ -257,66 +265,61 @@ impl HostBackend {
         let walks =
             build_walks(&tree, set, OpeningAngle::new(self.config.theta), self.config.walk_size);
         let decomp = self.shard_decomposition(set, &tree, &walks);
-        let pos = set.pos();
-        let mass = set.mass();
-        let eps_sq = params.eps_sq();
-        // replicates `evaluate_walks_cpu` per group (cells then bodies,
-        // list order, skip i == j) — conformance pins the two bit-exactly
-        let eval_group = |group: &treecode::interaction_list::WalkGroup,
-                          out: &mut Vec<(u32, Vec3)>| {
-            for &i in &group.bodies {
-                let xi = pos[i as usize];
-                let mut a = Vec3::ZERO;
-                for &c in &group.cell_list {
-                    let node = &tree.nodes()[c as usize];
-                    a += pair_acceleration(xi, node.com, node.mass, eps_sq);
-                }
-                for &j in &group.body_list {
-                    if j != i {
-                        a += pair_acceleration(xi, pos[j as usize], mass[j as usize], eps_sq);
-                    }
-                }
-                out.push((i, a * params.g));
-            }
-        };
+        let mut ranks = Vec::new();
+        tree_ranks(&tree, &mut ranks);
+        let (tree, rank) = (&tree, &ranks[..]);
+        let mut lanes = Vec::new();
+        let mut interactions = 0;
         // one pass per shard (a single pass when unsharded) — walks own
         // disjoint bodies, so any shard cut is bit-invariant
         for shard in decomp.shards() {
             let groups = &walks.groups[shard.walk_start..shard.walk_end.min(walks.groups.len())];
             let threads = par::threads().min(groups.len().max(1));
             if threads <= 1 {
-                let mut out = Vec::new();
                 for group in groups {
-                    eval_group(group, &mut out);
-                }
-                for (i, a) in out {
-                    acc[i as usize] = a;
+                    interactions += evaluate_group_packed(
+                        group,
+                        tree,
+                        set,
+                        params,
+                        rank,
+                        &mut lanes,
+                        |i, a| acc[i as usize] = a,
+                    );
                 }
             } else {
                 let ranges = par::chunk_ranges(groups.len(), threads);
-                let eval_group = &eval_group;
                 let results = par::run_tasks(
                     ranges
                         .into_iter()
                         .map(|range| {
                             move || {
-                                let mut out = Vec::new();
+                                let (mut lanes, mut out, mut count) = (Vec::new(), Vec::new(), 0);
                                 for group in &groups[range] {
-                                    eval_group(group, &mut out);
+                                    count += evaluate_group_packed(
+                                        group,
+                                        tree,
+                                        set,
+                                        params,
+                                        rank,
+                                        &mut lanes,
+                                        |i, a| out.push((i, a)),
+                                    );
                                 }
-                                out
+                                (count, out)
                             }
                         })
                         .collect(),
                 );
-                for out in results {
+                for (count, out) in results {
+                    interactions += count;
                     for (i, a) in out {
                         acc[i as usize] = a;
                     }
                 }
             }
         }
-        (walks.total_interactions(), decomp.len())
+        (interactions, decomp.len())
     }
 }
 

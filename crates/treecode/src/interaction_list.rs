@@ -14,6 +14,7 @@ use crate::traverse::WalkStats;
 use crate::tree::Octree;
 use nbody_core::body::ParticleSet;
 use nbody_core::gravity::{pair_acceleration, GravityParams};
+use nbody_core::soa::{sweep, Diagonal, RowLanes, SoaView};
 use nbody_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -43,7 +44,10 @@ impl WalkGroup {
         let cells = self.cell_list.len() as u64;
         let bodies = self.body_list.len() as u64;
         // every target meets every listed cell and body, minus its self-pair
-        let self_pairs = self.bodies.iter().filter(|b| self.body_list.contains(b)).count() as u64;
+        let mut sorted = self.bodies.clone();
+        sorted.sort_unstable();
+        let self_pairs =
+            self.body_list.iter().filter(|b| sorted.binary_search(b).is_ok()).count() as u64;
         targets * (cells + bodies) - self_pairs
     }
 }
@@ -298,6 +302,153 @@ pub fn evaluate_walks_cpu(
     stats
 }
 
+/// Sources packed per [`sweep`] call of [`evaluate_group_packed`]: four
+/// 4 KiB lanes, which stay in L1 next to a walk group's row lanes however
+/// long its interaction list grows.
+pub const SOURCE_CHUNK: usize = 512;
+
+/// Fills `rank` with the inverse of the tree order (`rank[order[p]] == p`),
+/// reusing its capacity.
+pub fn tree_ranks(tree: &Octree, rank: &mut Vec<u32>) {
+    rank.clear();
+    rank.resize(tree.order().len(), 0);
+    for (p, &b) in tree.order().iter().enumerate() {
+        rank[b as usize] = p as u32;
+    }
+}
+
+/// Evaluates one walk group as a packed tile and hands each target's
+/// acceleration to `sink`; returns the interactions evaluated (targets ×
+/// sources − self-pairs).
+///
+/// The targets are packed once into `x/y/z` row lanes. The sources stream
+/// in list order — cells, then bodies — through [`SOURCE_CHUNK`]-sized
+/// `x/y/z/m` lanes, and each chunk runs the shared [`sweep`]. A listed body
+/// whose tree rank falls inside the group is one of the rows (its *self
+/// lane*); runs of such bodies are the sweep's [`Diagonal`], whose pairs
+/// are skipped. Every row therefore sums its sources in exactly the order
+/// of [`evaluate_walks_cpu`], with the same expression tree, and the result
+/// is bit-identical to it. `rank` comes from [`tree_ranks`]; `lanes` is a
+/// reusable buffer.
+///
+/// # Panics
+/// Panics if the group's targets are not a contiguous run of the tree
+/// order, as every [`build_walks`] group is.
+pub fn evaluate_group_packed(
+    group: &WalkGroup,
+    tree: &Octree,
+    set: &ParticleSet,
+    params: &GravityParams,
+    rank: &[u32],
+    lanes: &mut Vec<f64>,
+    mut sink: impl FnMut(u32, Vec3),
+) -> u64 {
+    let nb = group.bodies.len();
+    let Some(&head) = group.bodies.first() else { return 0 };
+    let pos = set.pos();
+    let mass = set.mass();
+    let eps_sq = params.eps_sq();
+    let first = rank[head as usize] as usize;
+    lanes.clear();
+    lanes.resize(6 * nb + 4 * SOURCE_CHUNK, 0.0);
+    let (row_lanes, source_lanes) = lanes.split_at_mut(6 * nb);
+    let (ix, rest) = row_lanes.split_at_mut(nb);
+    let (iy, rest) = rest.split_at_mut(nb);
+    let (iz, rest) = rest.split_at_mut(nb);
+    let (ax, rest) = rest.split_at_mut(nb);
+    let (ay, az) = rest.split_at_mut(nb);
+    for (k, &i) in group.bodies.iter().enumerate() {
+        assert_eq!(rank[i as usize] as usize, first + k, "walk targets must be a tree-order run");
+        let p = pos[i as usize];
+        (ix[k], iy[k], iz[k]) = (p.x, p.y, p.z);
+    }
+    let (sx, rest) = source_lanes.split_at_mut(SOURCE_CHUNK);
+    let (sy, rest) = rest.split_at_mut(SOURCE_CHUNK);
+    let (sz, sm) = rest.split_at_mut(SOURCE_CHUNK);
+    let mut rows = RowLanes::new(ix, iy, iz, ax, ay, az);
+
+    for cells in group.cell_list.chunks(SOURCE_CHUNK) {
+        for (s, &c) in cells.iter().enumerate() {
+            let node = &tree.nodes()[c as usize];
+            (sx[s], sy[s], sz[s], sm[s]) = (node.com.x, node.com.y, node.com.z, node.mass);
+        }
+        let len = cells.len();
+        let sources = SoaView::new(&sx[..len], &sy[..len], &sz[..len], &sm[..len]);
+        sweep(&mut rows, sources, Diagonal::NONE, eps_sq);
+    }
+
+    // the row a listed body coincides with, if it is one of the targets
+    let self_lane =
+        |j: u32| Some((rank[j as usize] as usize).wrapping_sub(first)).filter(|&l| l < nb);
+    let mut self_pairs = 0;
+    for bodies in group.body_list.chunks(SOURCE_CHUNK) {
+        for (s, &j) in bodies.iter().enumerate() {
+            let p = pos[j as usize];
+            (sx[s], sy[s], sz[s], sm[s]) = (p.x, p.y, p.z, mass[j as usize]);
+        }
+        let len = bodies.len();
+        let sources = |r: std::ops::Range<usize>| {
+            SoaView::new(&sx[r.clone()], &sy[r.clone()], &sz[r.clone()], &sm[r])
+        };
+        // one sweep per run of self-lane bodies, covering the plain bodies
+        // before it; leaf bodies are tree-order runs, so a group meets a
+        // run per leaf it shares with the list
+        let (mut start, mut s) = (0, 0);
+        while s < len {
+            let Some(row) = self_lane(bodies[s]) else {
+                s += 1;
+                continue;
+            };
+            let mut run = 1;
+            while s + run < len && self_lane(bodies[s + run]) == Some(row + run) {
+                run += 1;
+            }
+            let diagonal = Diagonal { source: s - start, row, len: run };
+            sweep(&mut rows, sources(start..s + run), diagonal, eps_sq);
+            self_pairs += run as u64;
+            s += run;
+            start = s;
+        }
+        if start < len {
+            sweep(&mut rows, sources(start..len), Diagonal::NONE, eps_sq);
+        }
+    }
+
+    for (k, &i) in group.bodies.iter().enumerate() {
+        sink(i, Vec3::new(ax[k] * params.g, ay[k] * params.g, az[k] * params.g));
+    }
+    nb as u64 * group.list_len() as u64 - self_pairs
+}
+
+/// [`evaluate_group_packed`] over every group of a walk set, writing into
+/// `acc`: the fast host evaluation, bit-identical to [`evaluate_walks_cpu`].
+/// The rank and lane buffers are pooled in `scratch`, so after a warmup
+/// call a steady-state evaluation performs no heap allocation. Returns the
+/// interactions evaluated.
+pub fn evaluate_walks_packed(
+    walks: &WalkSet,
+    tree: &Octree,
+    set: &ParticleSet,
+    params: &GravityParams,
+    acc: &mut [Vec3],
+    scratch: &mut par::arena::Scratch,
+) -> u64 {
+    assert_eq!(acc.len(), set.len(), "acceleration buffer length mismatch");
+    let mut rank = scratch.take::<u32>("walk-rank");
+    let mut lanes = scratch.take::<f64>("walk-lanes");
+    tree_ranks(tree, &mut rank);
+    let mut interactions = 0;
+    for group in &walks.groups {
+        interactions +=
+            evaluate_group_packed(group, tree, set, params, &rank, &mut lanes, |i, a| {
+                acc[i as usize] = a
+            });
+    }
+    scratch.put("walk-rank", rank);
+    scratch.put("walk-lanes", lanes);
+    interactions
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +526,23 @@ mod tests {
         let mut acc = vec![Vec3::ZERO; set.len()];
         let stats = evaluate_walks_cpu(&walks, &tree, &set, &params, &mut acc);
         assert_eq!(walks.total_interactions(), stats.total_interactions());
+        // the packed kernel counts the same pairs and lands on the same bits
+        let mut packed = vec![Vec3::ZERO; set.len()];
+        let mut scratch = par::arena::Scratch::new();
+        let count = evaluate_walks_packed(&walks, &tree, &set, &params, &mut packed, &mut scratch);
+        assert_eq!(count, stats.total_interactions());
+        assert_eq!(packed, acc);
+    }
+
+    #[test]
+    #[should_panic(expected = "tree-order run")]
+    fn packed_kernel_rejects_scattered_targets() {
+        let (set, tree, mut walks) = setup(100, 13, 16);
+        walks.groups[0].bodies.swap(0, 1);
+        let mut acc = vec![Vec3::ZERO; set.len()];
+        let mut scratch = par::arena::Scratch::new();
+        let params = GravityParams::default();
+        evaluate_walks_packed(&walks, &tree, &set, &params, &mut acc, &mut scratch);
     }
 
     #[test]

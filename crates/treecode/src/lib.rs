@@ -36,7 +36,8 @@ pub mod prelude {
     pub use crate::engine::BarnesHut;
     pub use crate::interaction_list::{
         build_walks, build_walks_into, build_walks_range, collect_list, collect_list_into,
-        evaluate_walks_cpu, WalkGroup, WalkSet,
+        evaluate_group_packed, evaluate_walks_cpu, evaluate_walks_packed, tree_ranks, WalkGroup,
+        WalkSet,
     };
     pub use crate::mac::{accepts_group, accepts_point, Aabb, OpeningAngle};
     pub use crate::morton::{

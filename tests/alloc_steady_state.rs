@@ -8,6 +8,7 @@
 //! * the SoA-tiled PP engine driven by the leapfrog integrator,
 //! * the Barnes-Hut engine (rebuild-in-place, refit, and pooled walks),
 //! * interaction-list generation plus CPU walk evaluation,
+//! * interaction-list generation plus the packed walk-group kernel,
 //! * the incremental Morton re-sort.
 //!
 //! Zero allocation is a *serial* invariant (`par` pinned to one thread):
@@ -65,6 +66,14 @@ fn steady_state_steps_perform_zero_heap_allocations() {
         evaluate_walks_cpu(&walks, &tree, &set, &params, &mut acc);
     });
     assert_eq!(walk, 0, "walk build + evaluation allocated {walk} times");
+
+    // --- the packed walk-group kernel over the same walks: its rank and
+    // lane buffers come from the arena ---
+    let packed = allocs_of_step(2, || {
+        build_walks_into(&mut walks, &tree, &set, theta, 64, &mut scratch);
+        evaluate_walks_packed(&walks, &tree, &set, &params, &mut acc, &mut scratch);
+    });
+    assert_eq!(packed, 0, "walk build + packed group evaluation allocated {packed} times");
 
     // --- Morton path: incremental re-sort of a perturbed previous order ---
     let mut order = morton_order(&set);
