@@ -251,13 +251,15 @@ echo "==> allocation-regression gate (zero allocs per steady-state step)"
 # warmup; run it in release so the gate matches shipping codegen.
 cargo test --release -q --test alloc_steady_state
 
-echo "==> kernel asm spot check (packed sqrt/div in both sweep builds, no FMA)"
+echo "==> kernel asm spot check (packed sqrt/div in both builds of both sweeps, no FMA)"
 # nbody_core::soa::sweep is the lane loop of the tiled PP kernel and the
-# packed walk-group kernel; it dispatches at run time to an AVX2 build or
-# the baseline build of one body. Both builds must keep the branch-free
-# lane loops vectorized, and the AVX2 build must never contract to FMA,
-# which would change the bits the exactness tests pin. The release test
-# binary the allocation gate just built links both builds.
+# packed walk-group kernel; plans::common::sweep_f32 is its f32 sibling, the
+# force-eval phase of every simulated-device kernel. Each dispatches at run
+# time to an AVX2 build or the baseline build of one body. Both builds must
+# keep the lane loops vectorized, and the AVX2 builds must never contract
+# to FMA, which would change the bits the exactness tests pin. The release
+# test binary the allocation gate just built links both f64 builds; the
+# release conformance binary links both f32 builds.
 case "$(uname -m)" in
 x86_64)
     asm_bin="$(cargo test --release --no-run --test alloc_steady_state 2>&1 \
@@ -281,6 +283,20 @@ x86_64)
     done
     if grep -q vfmadd "$out/sweep-avx2.asm"; then
         echo "FAIL: the AVX2 sweep contains FMA instructions"; exit 1
+    fi
+    objdump -d --no-show-raw-insn target/release/conformance > "$out/kernels.asm"
+    fn_asm plans6common18sweep_f32_portable > "$out/sweep-f32-portable.asm"
+    fn_asm plans6common14sweep_f32_avx2 > "$out/sweep-f32-avx2.asm"
+    for op in sqrtps divps; do
+        grep -Eq "[[:space:]]$op[[:space:]]" "$out/sweep-f32-portable.asm" || {
+            echo "FAIL: the portable f32 sweep has no packed $op"; exit 1; }
+    done
+    for op in vsqrtps vdivps; do
+        grep -Eq "[[:space:]]$op[[:space:]].*ymm" "$out/sweep-f32-avx2.asm" || {
+            echo "FAIL: the AVX2 f32 sweep has no $op on ymm registers"; exit 1; }
+    done
+    if grep -q vfmadd "$out/sweep-f32-avx2.asm"; then
+        echo "FAIL: the AVX2 f32 sweep contains FMA instructions"; exit 1
     fi
     ;;
 *) echo "SKIP: the sweep asm check reads x86_64 instructions" ;;

@@ -45,12 +45,26 @@ impl BufU64 {
 }
 
 /// All global memory of one simulated device.
+///
+/// Buffers are released in stack order: [`BufferPool::mark`] records the
+/// allocation point and [`BufferPool::release`] drops every buffer
+/// allocated after it — the scope of one force evaluation, so a long-lived
+/// device does not grow with every step.
 #[derive(Debug, Default, Clone)]
 pub struct BufferPool {
     f32_bufs: Vec<Vec<f32>>,
     u32_bufs: Vec<Vec<u32>>,
     u64_bufs: Vec<Vec<u64>>,
+    live_bytes: usize,
     peak_bytes: usize,
+}
+
+/// An allocation point of a [`BufferPool`], taken by [`BufferPool::mark`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolMark {
+    f32s: usize,
+    u32s: usize,
+    u64s: usize,
 }
 
 impl BufferPool {
@@ -63,7 +77,7 @@ impl BufferPool {
     pub fn alloc_f32(&mut self, len: usize) -> BufF32 {
         let id = BufF32(self.f32_bufs.len() as u32);
         self.f32_bufs.push(vec![0.0; len]);
-        self.note_peak();
+        self.note_alloc(len * 4);
         id
     }
 
@@ -71,7 +85,7 @@ impl BufferPool {
     pub fn alloc_u32(&mut self, len: usize) -> BufU32 {
         let id = BufU32(self.u32_bufs.len() as u32);
         self.u32_bufs.push(vec![0; len]);
-        self.note_peak();
+        self.note_alloc(len * 4);
         id
     }
 
@@ -79,7 +93,7 @@ impl BufferPool {
     pub fn alloc_u64(&mut self, len: usize) -> BufU64 {
         let id = BufU64(self.u64_bufs.len() as u32);
         self.u64_bufs.push(vec![0; len]);
-        self.note_peak();
+        self.note_alloc(len * 8);
         id
     }
 
@@ -128,23 +142,48 @@ impl BufferPool {
         self.u64_bufs[id.0 as usize].len()
     }
 
-    /// Total allocated bytes across all buffers.
+    /// Total allocated bytes across all live buffers.
     pub fn total_bytes(&self) -> usize {
-        let f: usize = self.f32_bufs.iter().map(|b| b.len() * 4).sum();
-        let u: usize = self.u32_bufs.iter().map(|b| b.len() * 4).sum();
-        let w: usize = self.u64_bufs.iter().map(|b| b.len() * 8).sum();
-        f + u + w
+        self.live_bytes
     }
 
-    /// High-water mark of [`BufferPool::total_bytes`] over this pool's
-    /// lifetime — the device-memory footprint an out-of-core shard plan is
-    /// budgeted against.
+    /// High-water mark of [`BufferPool::total_bytes`] since the last
+    /// [`BufferPool::mark`] (over the pool's lifetime if never marked) —
+    /// the device-memory footprint an out-of-core shard plan is budgeted
+    /// against.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
 
-    fn note_peak(&mut self) {
-        self.peak_bytes = self.peak_bytes.max(self.total_bytes());
+    fn note_alloc(&mut self, bytes: usize) {
+        self.live_bytes += bytes;
+        self.peak_bytes = self.peak_bytes.max(self.live_bytes);
+    }
+
+    /// Records the current allocation point for a later
+    /// [`BufferPool::release`], and restarts the high-water mark at the
+    /// bytes live now.
+    pub fn mark(&mut self) -> PoolMark {
+        self.peak_bytes = self.live_bytes;
+        PoolMark { f32s: self.f32_bufs.len(), u32s: self.u32_bufs.len(), u64s: self.u64_bufs.len() }
+    }
+
+    /// Drops every buffer allocated after `mark`. Their handles dangle
+    /// afterwards: the caller must not use them again.
+    ///
+    /// # Panics
+    /// Panics if buffers allocated before `mark` were already released.
+    pub fn release(&mut self, mark: PoolMark) {
+        assert!(
+            mark.f32s <= self.f32_bufs.len()
+                && mark.u32s <= self.u32_bufs.len()
+                && mark.u64s <= self.u64_bufs.len(),
+            "pool mark {mark:?} is past the live buffers"
+        );
+        let f: usize = self.f32_bufs.drain(mark.f32s..).map(|b| b.len() * 4).sum();
+        let u: usize = self.u32_bufs.drain(mark.u32s..).map(|b| b.len() * 4).sum();
+        let w: usize = self.u64_bufs.drain(mark.u64s..).map(|b| b.len() * 8).sum();
+        self.live_bytes -= f + u + w;
     }
 
     /// Number of live buffers (all types).
@@ -190,6 +229,42 @@ mod tests {
         assert_eq!(p.total_bytes(), 800);
         assert_eq!(p.buffer_count(), 3);
         assert_eq!(p.peak_bytes(), 800);
+    }
+
+    #[test]
+    fn release_drops_what_the_mark_did_not_see() {
+        let mut p = BufferPool::new();
+        let kept = p.alloc_f32(10);
+        p.f32_mut(kept)[3] = 7.0;
+        let mark = p.mark();
+        assert_eq!(p.peak_bytes(), 40, "the mark restarts the high-water mark");
+        p.alloc_f32(100);
+        p.alloc_u32(20);
+        p.alloc_u64(5);
+        assert_eq!(p.total_bytes(), 40 + 400 + 80 + 40);
+        p.release(mark);
+        assert_eq!(p.total_bytes(), 40);
+        assert_eq!(p.buffer_count(), 1);
+        assert_eq!(p.peak_bytes(), 560, "the peak survives the release");
+        assert_eq!(p.f32(kept)[3], 7.0);
+        // a second scope reuses the handle indices and sees only its own peak
+        let mark = p.mark();
+        let again = p.alloc_f32(2);
+        assert_eq!(again, BufF32(1));
+        assert_eq!(p.peak_bytes(), 48);
+        p.release(mark);
+        assert_eq!(p.total_bytes(), 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the live buffers")]
+    fn stale_mark_is_rejected() {
+        let mut p = BufferPool::new();
+        let outer = p.mark();
+        p.alloc_f32(1);
+        let inner = p.mark();
+        p.release(outer);
+        p.release(inner);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! faults treated as unrecoverable. With no fault plan installed the
 //! fallible methods take the exact pre-existing code path.
 
-use crate::buffer::{BufF32, BufU32, BufU64, BufferPool};
+use crate::buffer::{BufF32, BufU32, BufU64, BufferPool, PoolMark};
 use crate::exec::{execute_launch, execute_launch_checked, execute_launch_profiled};
 use crate::fault::{CuHealth, FaultDecision, FaultError, FaultKind, FaultPlan};
 use crate::kernel::{Kernel, NdRange};
@@ -193,6 +193,19 @@ impl Device {
     /// Allocates a zeroed `u64` buffer (Morton keys, f64 bit patterns).
     pub fn alloc_u64(&mut self, len: usize) -> BufU64 {
         self.pool.alloc_u64(len)
+    }
+
+    /// Opens a buffer scope (one force evaluation): records the allocation
+    /// point for [`Device::release_buffers`] and restarts the pool's
+    /// high-water mark at the bytes live now.
+    pub fn mark_buffers(&mut self) -> PoolMark {
+        self.pool.mark()
+    }
+
+    /// Frees every buffer allocated since `mark`; their handles must not be
+    /// used again.
+    pub fn release_buffers(&mut self, mark: PoolMark) {
+        self.pool.release(mark);
     }
 
     /// Host→device copy, charged to the transfer clock.

@@ -10,6 +10,11 @@
 //!   (charged as `4 / transaction_bytes` transactions per element);
 //! * plain (gather/scatter) — each lane pays a full transaction.
 //!
+//! A phase runs for a whole work-group through [`GroupCtx`]: the kernel's
+//! [`Kernel::phase_group`] either loops the per-item phase in local-id
+//! order (the default) or evaluates the group at once, charging the same
+//! per-item events through [`GroupCtx::item`].
+//!
 //! Execution is deterministic regardless of host thread count: groups run
 //! in index order (serially, or chunked over `par` worker threads with the
 //! per-chunk global-memory write logs replayed in chunk order), items in
@@ -488,6 +493,60 @@ impl<'a> ItemCtx<'a> {
     }
 }
 
+/// The device-side view one work-group has during one phase, handed to
+/// [`Kernel::phase_group`].
+///
+/// [`GroupCtx::item`] yields the [`ItemCtx`] of one work-item: every counted
+/// and race-tracked access still goes through an item. [`GroupCtx::lds`] is
+/// an uncounted, race-untracked view of the group's LDS for a group-wide
+/// sweep whose reads the items have already charged.
+pub struct GroupCtx<'a> {
+    /// Work-group index.
+    pub group_id: usize,
+    /// Items per group.
+    pub local_size: usize,
+    /// Total items in the launch.
+    pub global_size: usize,
+    lds: &'a mut [f32],
+    pool: &'a mut BufferPool,
+    cost: &'a mut GroupCost,
+    inv_transaction_bytes: f64,
+    race: Option<&'a mut RaceDetector>,
+    log: Option<&'a mut WriteLog>,
+}
+
+impl GroupCtx<'_> {
+    /// The context of work-item `local_id` of this group.
+    ///
+    /// # Panics
+    /// Panics if `local_id` is not below the local size.
+    #[inline]
+    pub fn item(&mut self, local_id: usize) -> ItemCtx<'_> {
+        assert!(local_id < self.local_size, "local id {local_id} outside the group");
+        ItemCtx {
+            global_id: self.group_id * self.local_size + local_id,
+            local_id,
+            group_id: self.group_id,
+            local_size: self.local_size,
+            global_size: self.global_size,
+            lds: self.lds,
+            pool: self.pool,
+            cost: self.cost,
+            inv_transaction_bytes: self.inv_transaction_bytes,
+            race: self.race.as_deref_mut(),
+            log: self.log.as_deref_mut(),
+        }
+    }
+
+    /// Uncounted, race-untracked read-only view of the group's LDS. Charge
+    /// the reads it stands for per item, e.g. with
+    /// [`ItemCtx::lds_read_slice`].
+    #[inline]
+    pub fn lds(&self) -> &[f32] {
+        self.lds
+    }
+}
+
 /// Aggregated cost of one phase index within one group, recorded only when
 /// phase profiling is on (see [`execute_launch_profiled`]). A phase inside a
 /// `Jump` loop executes many times; `executions` counts them and `cost` sums
@@ -664,12 +723,13 @@ fn run_groups<K: Kernel>(
     let mut phase_costs: Vec<Vec<PhaseCost>> =
         if profile { Vec::with_capacity(groups.len()) } else { Vec::new() };
     let mut lds = vec![0.0_f32; kernel.lds_words()];
+    let mut item_regs = vec![K::ItemRegs::default(); grid.local];
 
     for group_id in groups {
-        lds.iter_mut().for_each(|w| *w = 0.0);
+        lds.fill(0.0);
+        item_regs.fill(K::ItemRegs::default());
         let mut cost = GroupCost { items: grid.local as u64, ..Default::default() };
         let mut group_regs = K::GroupRegs::default();
-        let mut item_regs = vec![K::ItemRegs::default(); grid.local];
         let info =
             GroupInfo { group_id, local_size: grid.local, global_size: grid.global, num_groups };
 
@@ -681,22 +741,18 @@ fn run_groups<K: Kernel>(
                 d.begin_phase(group_id, phase);
             }
             let cost_before = profile.then_some(cost);
-            for (local_id, regs) in item_regs.iter_mut().enumerate() {
-                let mut ctx = ItemCtx {
-                    global_id: group_id * grid.local + local_id,
-                    local_id,
-                    group_id,
-                    local_size: grid.local,
-                    global_size: grid.global,
-                    lds: &mut lds,
-                    pool,
-                    cost: &mut cost,
-                    inv_transaction_bytes: inv_tb,
-                    race: detector.as_deref_mut(),
-                    log: log.as_deref_mut(),
-                };
-                kernel.phase(phase, &mut ctx, regs, &group_regs);
-            }
+            let mut ctx = GroupCtx {
+                group_id,
+                local_size: grid.local,
+                global_size: grid.global,
+                lds: &mut lds,
+                pool,
+                cost: &mut cost,
+                inv_transaction_bytes: inv_tb,
+                race: detector.as_deref_mut(),
+                log: log.as_deref_mut(),
+            };
+            kernel.phase_group(phase, &mut ctx, &mut item_regs, &group_regs);
             cost.barriers += 1;
             executed += 1;
             if let Some(before) = cost_before {

@@ -5,6 +5,10 @@
 //! work-item of a group, then consults the kernel's [`Kernel::control`] to
 //! decide what follows the implicit barrier — proceed, loop back, or finish.
 //!
+//! The executor hands each phase to [`Kernel::phase_group`] for the whole
+//! group; its default runs [`Kernel::phase`] item by item, and a kernel may
+//! override it to evaluate the group at once under the same accounting.
+//!
 //! This encodes OpenCL's rule that barriers must be reached uniformly by all
 //! work-items of a group: control flow across barriers lives in *group*
 //! state ([`Kernel::GroupRegs`]), while divergent per-item state lives in
@@ -20,6 +24,7 @@
 //! phase 2: write accumulated acceleration     // Done
 //! ```
 
+use crate::exec::GroupCtx;
 use serde::{Deserialize, Serialize};
 
 /// What the group does after finishing a phase (at the implicit barrier).
@@ -121,9 +126,45 @@ pub trait Kernel: Sync {
         group: &Self::GroupRegs,
     );
 
+    /// Executes one phase for the whole work-group, `items[k]` being the
+    /// registers of local id `k`. The default runs [`Kernel::phase`] for
+    /// every item in local-id order ([`run_items`]).
+    ///
+    /// An override evaluates the group at once (a lane sweep over a staged
+    /// LDS tile, say) and must be indistinguishable from the default: it
+    /// charges exactly the per-item events through [`GroupCtx::item`], in
+    /// local-id order, so costs and race reports match; it leaves every
+    /// register and buffer word as the per-item loop would, bit for bit;
+    /// and it stays inside this phase, since the barrier that follows is
+    /// the executor's.
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [Self::ItemRegs],
+        group: &Self::GroupRegs,
+    ) {
+        run_items(self, phase, ctx, items, group);
+    }
+
     /// Decides, after all items finished `phase`, what the group does next.
     /// May mutate the group registers (advance loop counters).
     fn control(&self, phase: usize, group: &mut Self::GroupRegs, info: &GroupInfo) -> Control;
+}
+
+/// Runs [`Kernel::phase`] for every item of the group in local-id order:
+/// the default [`Kernel::phase_group`], and the fallback of overrides for
+/// the phases they do not batch.
+pub fn run_items<K: Kernel + ?Sized>(
+    kernel: &K,
+    phase: usize,
+    ctx: &mut GroupCtx<'_>,
+    items: &mut [K::ItemRegs],
+    group: &K::GroupRegs,
+) {
+    for (local_id, regs) in items.iter_mut().enumerate() {
+        kernel.phase(phase, &mut ctx.item(local_id), regs, group);
+    }
 }
 
 #[cfg(test)]

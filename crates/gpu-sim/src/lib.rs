@@ -64,14 +64,14 @@ pub mod trace;
 
 /// Common imports for writing and launching kernels.
 pub mod prelude {
-    pub use crate::buffer::{BufF32, BufU32, BufU64, BufferPool};
+    pub use crate::buffer::{BufF32, BufU32, BufU64, BufferPool, PoolMark};
     pub use crate::cost::GroupCost;
     pub use crate::device::{Device, LaunchRecord, TransferRecord};
-    pub use crate::exec::ItemCtx;
+    pub use crate::exec::{GroupCtx, ItemCtx};
     pub use crate::fault::{
         CuHealth, FaultConfig, FaultCounts, FaultError, FaultKind, FaultPlan, RetryPolicy,
     };
-    pub use crate::kernel::{Control, GroupInfo, Kernel, NdRange};
+    pub use crate::kernel::{run_items, Control, GroupInfo, Kernel, NdRange};
     pub use crate::kernels::{device_sum, SumReduceKernel};
     pub use crate::pcie::TransferModel;
     pub use crate::race::{Race, RaceDetector, Space};

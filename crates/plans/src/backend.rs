@@ -173,7 +173,12 @@ impl Backend for SimBackend {
         set: &ParticleSet,
         params: &GravityParams,
     ) -> PlanOutcome {
-        crate::make_plan(plan, self.config).evaluate(&mut self.device, set, params)
+        // one evaluation is one buffer scope: a long-lived backend does not
+        // grow with every step, and the outcome's peak is this evaluation's
+        let mark = self.device.mark_buffers();
+        let outcome = crate::make_plan(plan, self.config).evaluate(&mut self.device, set, params);
+        self.device.release_buffers(mark);
+        outcome
     }
 
     fn device(&self) -> Option<&Device> {
@@ -467,6 +472,42 @@ mod tests {
                 let mut sim = make_backend(BackendKind::Sim, config);
                 let got = sim.evaluate(plan, &set, &params());
                 assert_eq!(got.acc, reference.acc, "{plan:?}: {config:?} diverged on sim");
+            }
+        }
+    }
+
+    #[test]
+    fn long_lived_sim_backend_frees_each_evaluation() {
+        // ten evaluations on one backend must match ten fresh devices bit
+        // for bit, and leave the device's memory as they found it; the
+        // budgeted config sizes its shards from the bytes already live, so
+        // retained buffers would change its decomposition
+        let set = random_set(300, 17);
+        let base = PlanConfig::default();
+        let budgeted = PlanConfig { mem_budget_bytes: Some(48 * 1024), ..base };
+        for config in [base, budgeted] {
+            let mut long_lived = SimBackend::new(default_device(), config);
+            let before = long_lived.device().map(|d| d.debug_pool().total_bytes());
+            for step in 0..10 {
+                let plan = PlanKind::all()[step % 4];
+                let got = long_lived.evaluate(plan, &set, &params());
+                let want =
+                    SimBackend::new(default_device(), config).evaluate(plan, &set, &params());
+                let what = format!("step {step} {plan:?} {config:?}");
+                assert_eq!(got.acc, want.acc, "{what}: forces");
+                assert_eq!(got.interactions, want.interactions, "{what}");
+                assert_eq!(got.launches, want.launches, "{what}");
+                assert_eq!(got.shards_used, want.shards_used, "{what}");
+                assert_eq!(got.peak_device_bytes, want.peak_device_bytes, "{what}: peak");
+                for (a, b) in [
+                    (got.kernel_s, want.kernel_s),
+                    (got.transfer_s, want.transfer_s),
+                    (got.total_seconds(), want.total_seconds()),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: clocks");
+                }
+                let after = long_lived.device().map(|d| d.debug_pool().total_bytes());
+                assert_eq!(after, before, "{what}: device memory not released");
             }
         }
     }

@@ -349,6 +349,175 @@ pub fn interact_tile_f32(xi: [f32; 3], tile: &[f32], eps_sq: f32, acc: &mut [f32
     }
 }
 
+/// Target lanes per row block of [`sweep_f32`]: the rows live in stack
+/// arrays of this length, so a sweep never allocates.
+const SWEEP_ROWS: usize = 64;
+
+/// The position and accumulator lanes of up to [`SWEEP_ROWS`] targets, in
+/// structure-of-arrays form.
+struct F32Rows {
+    xs: [f32; SWEEP_ROWS],
+    ys: [f32; SWEEP_ROWS],
+    zs: [f32; SWEEP_ROWS],
+    axs: [f32; SWEEP_ROWS],
+    ays: [f32; SWEEP_ROWS],
+    azs: [f32; SWEEP_ROWS],
+    len: usize,
+}
+
+impl Default for F32Rows {
+    fn default() -> Self {
+        let zero = [0.0; SWEEP_ROWS];
+        Self { xs: zero, ys: zero, zs: zero, axs: zero, ays: zero, azs: zero, len: 0 }
+    }
+}
+
+impl F32Rows {
+    /// Appends a target at `xi` whose accumulator holds `acc`.
+    ///
+    /// # Panics
+    /// Panics if the block already holds [`SWEEP_ROWS`] rows.
+    #[inline]
+    fn push(&mut self, xi: [f32; 3], acc: [f32; 3]) {
+        let k = self.len;
+        assert!(k < SWEEP_ROWS, "row block is full");
+        [self.xs[k], self.ys[k], self.zs[k]] = xi;
+        [self.axs[k], self.ays[k], self.azs[k]] = acc;
+        self.len += 1;
+    }
+
+    /// The accumulator of row `k`.
+    #[inline]
+    fn acc(&self, k: usize) -> [f32; 3] {
+        [self.axs[k], self.ays[k], self.azs[k]]
+    }
+}
+
+/// Adds the pull of every float4 source of `tile`, in order, onto every row
+/// of `rows`: the f32 sibling of `nbody_core::soa::sweep`.
+///
+/// The source loop is outer and the row loop inner, so each row keeps the
+/// j-ascending chain and the expression tree of [`interact_f32`] — the
+/// result is bit-identical to [`interact_tile_f32`] per row — while the
+/// inner loop runs over independent lanes and vectorizes.
+///
+/// On `x86_64` CPUs with AVX2 the sweep runs an AVX2 build of the same body:
+/// `fma` stays disabled and Rust never contracts `a * b + c`, so both builds
+/// round every operation identically and return the same bits.
+fn sweep_f32(rows: &mut F32Rows, tile: &[f32], eps_sq: f32) {
+    debug_assert!(tile.len().is_multiple_of(4), "tile must be packed float4");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `sweep_f32_avx2` requires only that the CPU supports AVX2,
+        // which the run-time check above has just confirmed.
+        return unsafe { sweep_f32_avx2(rows, tile, eps_sq) };
+    }
+    sweep_f32_portable(rows, tile, eps_sq)
+}
+
+/// The baseline-target build of [`sweep_f32_body`] (SSE2 on `x86_64`).
+///
+/// `inline(never)`, as is the AVX2 build, for the reason
+/// `nbody_core::soa::sweep_portable` gives: inlined into a caller's loop
+/// LLVM stops vectorizing the lane loop. `ci.sh` checks both builds for
+/// packed `sqrtps`/`divps` in the release binary.
+#[inline(never)]
+fn sweep_f32_portable(rows: &mut F32Rows, tile: &[f32], eps_sq: f32) {
+    sweep_f32_body(rows, tile, eps_sq)
+}
+
+/// The AVX2 build of [`sweep_f32_body`]: packed `ymm` arithmetic, no FMA.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+unsafe fn sweep_f32_avx2(rows: &mut F32Rows, tile: &[f32], eps_sq: f32) {
+    sweep_f32_body(rows, tile, eps_sq)
+}
+
+#[inline(always)]
+fn sweep_f32_body(rows: &mut F32Rows, tile: &[f32], eps_sq: f32) {
+    let n = rows.len;
+    let ix = &rows.xs[..n];
+    let iy = &rows.ys[..n];
+    let iz = &rows.zs[..n];
+    let axs = &mut rows.axs[..n];
+    let ays = &mut rows.ays[..n];
+    let azs = &mut rows.azs[..n];
+    for source in tile.chunks_exact(4) {
+        let (xj, yj, zj, mj) = (source[0], source[1], source[2], source[3]);
+        for k in 0..n {
+            // identical expression tree to interact_f32
+            let dx = xj - ix[k];
+            let dy = yj - iy[k];
+            let dz = zj - iz[k];
+            let r2 = dx * dx + dy * dy + dz * dz + eps_sq;
+            let inv_r = 1.0 / r2.sqrt();
+            let inv_r3 = inv_r * inv_r * inv_r;
+            let s = mj * inv_r3;
+            axs[k] += dx * s;
+            ays[k] += dy * s;
+            azs[k] += dz * s;
+        }
+    }
+}
+
+/// The target registers of one work-item of an f32 force kernel.
+pub(crate) trait TargetLane {
+    /// The item's target position and accumulator, or `None` for an item
+    /// without a target (a padding slot its force-eval phase skips).
+    fn lane(&mut self) -> Option<(&[f32; 3], &mut [f32; 3])>;
+}
+
+/// Adds a staged tile onto every item that has a target, [`SWEEP_ROWS`]
+/// items at a time: bit-identical to calling [`interact_tile_f32`] per item.
+fn sweep_items<R: TargetLane>(items: &mut [R], tile: &[f32], eps_sq: f32) {
+    for chunk in items.chunks_mut(SWEEP_ROWS) {
+        let mut rows = F32Rows::default();
+        for item in chunk.iter_mut() {
+            if let Some((xi, acc)) = item.lane() {
+                rows.push(*xi, *acc);
+            }
+        }
+        if rows.len == 0 {
+            continue;
+        }
+        sweep_f32(&mut rows, tile, eps_sq);
+        let mut k = 0;
+        for item in chunk.iter_mut() {
+            if let Some((_, acc)) = item.lane() {
+                *acc = rows.acc(k);
+                k += 1;
+            }
+        }
+    }
+}
+
+/// The force-eval phase of every f32 force kernel for a whole work-group:
+/// the `tile` float4 sources staged at LDS word 0 against every item's
+/// target.
+///
+/// Each item is charged exactly what its per-item phase charges — the
+/// tile's flops and an [`ItemCtx::lds_read_slice`] of the tile, which the
+/// race detector sees — and then one [`sweep_items`] updates the
+/// accumulators of the items with a target.
+pub(crate) fn force_eval_group<R: TargetLane>(
+    ctx: &mut GroupCtx<'_>,
+    items: &mut [R],
+    tile: usize,
+    eps_sq: f32,
+) {
+    let flops = (FLOPS_PER_INTERACTION * tile as u64) as f64;
+    for local_id in 0..items.len() {
+        let mut item = ctx.item(local_id);
+        item.charge_flops(flops);
+        item.lds_read_slice(0, 4 * tile);
+    }
+    sweep_items(items, &ctx.lds()[..4 * tile], eps_sq);
+}
+
 /// Uploads positions+masses as float4 and returns (pos_mass, acc_out)
 /// buffers; `acc_out` is float4 per body. The upload is charged to the
 /// transfer clock — it is part of every plan's per-step cost. Retries
@@ -455,6 +624,88 @@ mod tests {
         // padding: zero mass anywhere
         interact_f32(xi, &[9.0, 9.0, 9.0, 0.0], 1e-4, &mut acc);
         assert_eq!(acc, [0.0; 3]);
+    }
+
+    /// Runs one sweep through `f` over `targets` (onto fresh non-zero
+    /// accumulators, [`SWEEP_ROWS`] rows at a time) and returns the bits.
+    fn sweep_with(
+        f: impl Fn(&mut F32Rows, &[f32], f32),
+        targets: &[[f32; 3]],
+        tile: &[f32],
+        eps_sq: f32,
+    ) -> Vec<[u32; 3]> {
+        let mut out = Vec::new();
+        for chunk in targets.chunks(SWEEP_ROWS) {
+            let mut rows = F32Rows::default();
+            for (k, &xi) in chunk.iter().enumerate() {
+                rows.push(xi, [0.25, -0.5, k as f32]);
+            }
+            f(&mut rows, tile, eps_sq);
+            out.extend((0..rows.len).map(|k| rows.acc(k).map(f32::to_bits)));
+        }
+        out
+    }
+
+    #[test]
+    fn lane_sweep_matches_the_per_target_tile_bitwise() {
+        use nbody_core::testutil::random_set;
+        let set = random_set(300, 21);
+        let mut tile = set.pack_pos_mass_f32();
+        // zero-mass padding, and a source that coincides with a target
+        tile.extend_from_slice(&[0.0, 0.0, 0.0, 0.0, 9.0, -9.0, 9.0, 0.0]);
+        let twin = tile[40..44].to_vec();
+        tile.extend_from_slice(&twin);
+        let targets: Vec<[f32; 3]> =
+            tile.chunks_exact(4).take(137).map(|s| [s[0], s[1], s[2]]).collect();
+        // sources short of a row block, not a multiple of 8, and empty
+        for len in [0, 1, 7, 64, 130, tile.len() / 4] {
+            let tile = &tile[..4 * len];
+            for eps_sq in [0.05_f32 * 0.05, 1e-30, 0.0] {
+                let per_target: Vec<[u32; 3]> = targets
+                    .chunks(SWEEP_ROWS)
+                    .flat_map(|chunk| {
+                        chunk.iter().enumerate().map(|(k, &xi)| {
+                            let mut acc = [0.25, -0.5, k as f32];
+                            interact_tile_f32(xi, tile, eps_sq, &mut acc);
+                            acc.map(f32::to_bits)
+                        })
+                    })
+                    .collect();
+                // on a CPU with AVX2 `sweep_f32` runs the AVX2 build; without
+                // AVX2 both calls run the baseline build
+                let dispatched = sweep_with(sweep_f32, &targets, tile, eps_sq);
+                let portable = sweep_with(sweep_f32_portable, &targets, tile, eps_sq);
+                let what = format!("len {len}, eps_sq {eps_sq}");
+                assert_eq!(dispatched, per_target, "{what}: dispatched");
+                assert_eq!(portable, per_target, "{what}: portable");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_items_updates_only_targeted_items() {
+        struct Item(Option<[f32; 3]>, [f32; 3]);
+        impl TargetLane for Item {
+            fn lane(&mut self) -> Option<(&[f32; 3], &mut [f32; 3])> {
+                let Item(xi, acc) = self;
+                xi.as_ref().map(|xi| (xi, acc))
+            }
+        }
+        let tile = [1.0, 2.0, 3.0, 4.0, -1.0, 0.5, 0.0, 2.0];
+        let mut items: Vec<Item> = (0..150)
+            .map(|k| {
+                let xi = (k % 3 != 1).then(|| [k as f32 * 0.01, 0.0, -0.2]);
+                Item(xi, [k as f32; 3])
+            })
+            .collect();
+        sweep_items(&mut items, &tile, 1e-4);
+        for (k, item) in items.iter().enumerate() {
+            let mut want = [k as f32; 3];
+            if let Some(xi) = item.0 {
+                interact_tile_f32(xi, &tile, 1e-4, &mut want);
+            }
+            assert_eq!(item.1.map(f32::to_bits), want.map(f32::to_bits), "item {k}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! feed 18 compute units.
 
 use crate::common::{
-    download_acc, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
-    FLOPS_PER_INTERACTION,
+    download_acc, force_eval_group, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind,
+    PlanOutcome, TargetLane, FLOPS_PER_INTERACTION,
 };
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
@@ -37,6 +37,12 @@ pub struct IParallelKernel {
 pub struct IItemRegs {
     xi: [f32; 3],
     acc: [f32; 3],
+}
+
+impl TargetLane for IItemRegs {
+    fn lane(&mut self) -> Option<(&[f32; 3], &mut [f32; 3])> {
+        Some((&self.xi, &mut self.acc))
+    }
 }
 
 /// Per-block registers: the tile cursor.
@@ -103,6 +109,22 @@ impl Kernel for IParallelKernel {
                 }
             }
             _ => unreachable!("i-parallel has 4 phases"),
+        }
+    }
+
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [IItemRegs],
+        group: &IGroupRegs,
+    ) {
+        match phase {
+            2 => {
+                let tile = self.block;
+                force_eval_group(ctx, items, tile, self.eps_sq);
+            }
+            _ => run_items(self, phase, ctx, items, group),
         }
     }
 

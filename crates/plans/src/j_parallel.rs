@@ -7,8 +7,8 @@
 //! buffer of `S × N` float4s and a second reduction kernel.
 
 use crate::common::{
-    download_acc, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
-    FLOPS_PER_INTERACTION,
+    download_acc, force_eval_group, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind,
+    PlanOutcome, TargetLane, FLOPS_PER_INTERACTION,
 };
 use crate::i_parallel::packed_padded;
 use gpu_sim::prelude::*;
@@ -76,6 +76,12 @@ pub struct JItemRegs {
     acc: [f32; 3],
 }
 
+impl TargetLane for JItemRegs {
+    fn lane(&mut self) -> Option<(&[f32; 3], &mut [f32; 3])> {
+        Some((&self.xi, &mut self.acc))
+    }
+}
+
 /// Per-block registers: the cursor into this block's j-slice.
 #[derive(Debug, Default)]
 pub struct JGroupRegs {
@@ -139,6 +145,22 @@ impl Kernel for JPartialKernel {
                 );
             }
             _ => unreachable!("j-partial has 4 phases"),
+        }
+    }
+
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [JItemRegs],
+        group: &JGroupRegs,
+    ) {
+        match phase {
+            2 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                force_eval_group(ctx, items, tile, self.eps_sq);
+            }
+            _ => run_items(self, phase, ctx, items, group),
         }
     }
 

@@ -17,7 +17,8 @@
 //! w-parallel saturates the device on its own.
 
 use crate::common::{
-    interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome, FLOPS_PER_INTERACTION,
+    force_eval_group, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
+    TargetLane, FLOPS_PER_INTERACTION,
 };
 use crate::w_parallel::{prepare_walks, NO_TARGET};
 use gpu_sim::prelude::*;
@@ -117,6 +118,12 @@ impl Default for JwItemRegs {
     }
 }
 
+impl TargetLane for JwItemRegs {
+    fn lane(&mut self) -> Option<(&[f32; 3], &mut [f32; 3])> {
+        (self.target != NO_TARGET).then_some((&self.xi, &mut self.acc))
+    }
+}
+
 /// Per-block registers.
 #[derive(Debug, Default)]
 pub struct JwGroupRegs {
@@ -191,6 +198,22 @@ impl Kernel for JwPartialKernel {
                 );
             }
             _ => unreachable!("jw-partial has 4 phases"),
+        }
+    }
+
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [JwItemRegs],
+        group: &JwGroupRegs,
+    ) {
+        match phase {
+            2 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                force_eval_group(ctx, items, tile, self.eps_sq);
+            }
+            _ => run_items(self, phase, ctx, items, group),
         }
     }
 

@@ -19,7 +19,7 @@
 //! over the survivors mid-step ([`MultiGpuJw::partition_subset`]), so the
 //! evaluation degrades gracefully as long as one device remains.
 
-use crate::common::{HostCostModel, PlanConfig, PlanOutcome};
+use crate::common::{force_eval_group, HostCostModel, PlanConfig, PlanOutcome, TargetLane};
 use crate::jw_parallel::try_run_jw_kernels;
 use crate::w_parallel::{pack_walks, PackedWalks};
 use gpu_sim::prelude::*;
@@ -313,6 +313,12 @@ pub struct PpSlicedItemRegs {
     acc: [f32; 3],
 }
 
+impl TargetLane for PpSlicedItemRegs {
+    fn lane(&mut self) -> Option<(&[f32; 3], &mut [f32; 3])> {
+        Some((&self.xi, &mut self.acc))
+    }
+}
+
 /// Per-block registers of [`PpSlicedKernel`].
 #[derive(Debug, Default)]
 pub struct PpSlicedGroupRegs {
@@ -370,6 +376,22 @@ impl Kernel for PpSlicedKernel {
                 }
             }
             _ => unreachable!("pp-sliced has 4 phases"),
+        }
+    }
+
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [PpSlicedItemRegs],
+        group: &PpSlicedGroupRegs,
+    ) {
+        match phase {
+            2 => {
+                let tile = self.block.min(self.m_padded - group.tile * self.block);
+                force_eval_group(ctx, items, tile, self.eps_sq);
+            }
+            _ => run_items(self, phase, ctx, items, group),
         }
     }
 

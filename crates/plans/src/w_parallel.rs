@@ -13,8 +13,8 @@
 //! the device.
 
 use crate::common::{
-    download_acc, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind, PlanOutcome,
-    FLOPS_PER_INTERACTION,
+    download_acc, force_eval_group, interact_tile_f32, ExecutionPlan, PlanConfig, PlanKind,
+    PlanOutcome, TargetLane, FLOPS_PER_INTERACTION,
 };
 use gpu_sim::prelude::*;
 use nbody_core::body::ParticleSet;
@@ -126,6 +126,12 @@ impl Default for WItemRegs {
     }
 }
 
+impl TargetLane for WItemRegs {
+    fn lane(&mut self) -> Option<(&[f32; 3], &mut [f32; 3])> {
+        (self.target != NO_TARGET).then_some((&self.xi, &mut self.acc))
+    }
+}
+
 /// Per-block registers: cursor into the walk's list.
 #[derive(Debug, Default)]
 pub struct WGroupRegs {
@@ -200,6 +206,22 @@ impl Kernel for WWalkKernel {
                 }
             }
             _ => unreachable!("w-walk has 4 phases"),
+        }
+    }
+
+    fn phase_group(
+        &self,
+        phase: usize,
+        ctx: &mut GroupCtx<'_>,
+        items: &mut [WItemRegs],
+        group: &WGroupRegs,
+    ) {
+        match phase {
+            2 => {
+                let tile = self.tile_len(ctx.group_id, group.cursor);
+                force_eval_group(ctx, items, tile, self.eps_sq);
+            }
+            _ => run_items(self, phase, ctx, items, group),
         }
     }
 
