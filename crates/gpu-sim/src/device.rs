@@ -18,7 +18,7 @@
 //! faults treated as unrecoverable. With no fault plan installed the
 //! fallible methods take the exact pre-existing code path.
 
-use crate::buffer::{BufF32, BufU32, BufU64, BufferPool, PoolMark};
+use crate::buffer::{BufF32, BufU32, BufU64, BufferPool};
 use crate::exec::{execute_launch, execute_launch_checked, execute_launch_profiled};
 use crate::fault::{CuHealth, FaultDecision, FaultError, FaultKind, FaultPlan};
 use crate::kernel::{Kernel, NdRange};
@@ -195,17 +195,20 @@ impl Device {
         self.pool.alloc_u64(len)
     }
 
-    /// Opens a buffer scope (one force evaluation): records the allocation
-    /// point for [`Device::release_buffers`] and restarts the pool's
-    /// high-water mark at the bytes live now.
-    pub fn mark_buffers(&mut self) -> PoolMark {
-        self.pool.mark()
-    }
-
-    /// Frees every buffer allocated since `mark`; their handles must not be
+    /// Runs one force evaluation as one scope: clears the clocks and logs
+    /// ([`Device::reset_clocks`]), marks the buffer pool (restarting its
+    /// high-water mark at the bytes live now), runs `body`, then frees
+    /// every buffer `body` allocated. A reused device therefore does not
+    /// grow with every evaluation, and the pool's high-water mark read
+    /// inside `body` is this evaluation's alone. The clocks and logs stay
+    /// readable after it returns; the freed buffers' handles must not be
     /// used again.
-    pub fn release_buffers(&mut self, mark: PoolMark) {
+    pub fn evaluation<R>(&mut self, body: impl FnOnce(&mut Device) -> R) -> R {
+        self.reset_clocks();
+        let mark = self.pool.mark();
+        let out = body(self);
         self.pool.release(mark);
+        out
     }
 
     /// Host→device copy, charged to the transfer clock.

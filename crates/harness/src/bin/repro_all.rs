@@ -3,16 +3,7 @@
 //! `--json <path>` additionally writes the machine-readable results;
 //! `--faults <seed>` reruns the whole suite under deterministic fault
 //! injection (results stay bit-exact, simulated times absorb the recovery
-//! overhead) and finishes with a checkpoint/restart smoke;
-//! `--bench-json [path]` appends the thread-pool wall-clock benchmark,
-//! writing its rows to `path` (default `BENCH_pr4.json`) and printing a
-//! greppable `BENCH OK` / `BENCH SKIP` / `BENCH FAIL` verdict, then the
-//! seed-vs-optimized hot-path benchmark (`BENCH_pr5.json` next to it,
-//! verdict `BENCH_PR5 …`) and the out-of-core tree-pipeline benchmark
-//! (`BENCH_pr10.json`, verdict `BENCH_PR10 …`; the million-body gates
-//! need the dedicated `bench-pr10 --n 1048576` binary). Build with
-//! `--features alloc-count` to install the counting allocator and gate
-//! steady-state allocations at zero.
+//! overhead) and finishes with a checkpoint/restart smoke.
 //!
 //! A leading subcommand runs one artifact on its own instead of the suite:
 //!
@@ -20,24 +11,29 @@
 //! repro-all fig4|fig5|table2|table3 [--quick] [--threads N] [--trace <path>] …
 //! repro-all table1|ptpm-report      [--quick] [--threads N] …
 //! repro-all drift [N=256] | imbalance [N=8192] | whatif [N=4096]  [--threads N]
+//! repro-all bench [--quick] [--threads N] [--n N] [--shards N] [--json <path>] …
+//! repro-all bench-history --history <jsonl> [--ingest <BENCH.json> --label L [--write]]
+//!                         [--inject-slowdown F]
 //! ```
 //!
-//! The first six take the suite's experiment flags (see
-//! `harness::try_config_from_args`); the last three take a body count and
-//! `--threads` only.
+//! The first six and `bench` take the suite's experiment flags (see
+//! `harness::try_config_from_args`); the three studies take a body count
+//! and `--threads` only.
+//!
+//! `bench` runs the benchmark suite (`harness::bench`): every row names its
+//! clock, `--json` writes the rows, `--n` benches one explicit size (the
+//! million-body pipeline gate needs `--n 1048576`), and the last line is the
+//! verdict `BENCH OK|SKIP|FAIL (…)`; it exits 1 on `FAIL`.
+//!
+//! `bench-history` reads the committed trajectory; with `--ingest` it
+//! appends a `bench --json` report in memory (`--write` persists it) and
+//! judges the result (`harness::bench::history`). `--inject-slowdown F`
+//! multiplies every wall row of the ingested report by `F` and is never
+//! written: CI uses it to prove the gate fails a uniform slowdown. Exit
+//! codes: 0 for `OK`/`SKIP`, 1 for `FAIL`, 2 for usage or corrupt inputs.
 
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static ALLOC: par::arena::CountingAlloc = par::arena::CountingAlloc;
-
-/// `name` in the same directory as the `--bench-json` target.
-fn sibling_path(bench_path: &str, name: &str) -> String {
-    let p = std::path::Path::new(bench_path);
-    match p.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir.join(name).to_string_lossy().into_owned(),
-        _ => name.to_string(),
-    }
-}
+use harness::bench::history::{self, History};
+use harness::bench::BenchReport;
 
 /// Workload seed of the drift, imbalance and what-if studies.
 const STUDY_SEED: u64 = 20110101;
@@ -49,6 +45,8 @@ fn main() {
         Some(name @ ("fig4" | "fig5" | "table1" | "table2" | "table3" | "ptpm-report")) => {
             artifact(name, &args[1..])
         }
+        Some("bench") => bench(&args[1..]),
+        Some("bench-history") => bench_history(&args[1..]),
         _ => suite(&args),
     }
 }
@@ -97,11 +95,7 @@ fn study(name: &str, args: &[String]) {
 fn suite(args: &[String]) {
     let cfg = harness::config_from_args(args);
     let steps = cfg.steps;
-    let json_path = args.iter().position(|a| a == "--json").and_then(|p| args.get(p + 1)).cloned();
-    let bench_path = args.iter().position(|a| a == "--bench-json").map(|p| match args.get(p + 1) {
-        Some(v) if !v.starts_with("--") => v.clone(),
-        _ => "BENCH_pr4.json".to_string(),
-    });
+    let json_path = flag_value(args, "--json");
 
     println!("== PTPM fast N-body reproduction: full experiment suite ==\n");
     if let Some(seed) = cfg.fault_seed {
@@ -119,37 +113,12 @@ fn suite(args: &[String]) {
     println!("{}", harness::table3::render(&results.table3, steps));
 
     if let Some(path) = json_path {
-        harness::error::or_exit(results.write_json(&path));
+        harness::error::or_exit(results.write_json(path));
         println!("machine-readable results written to {path}");
     }
 
     let mut runner = harness::Runner::new(results.config.clone());
     harness::error::or_exit(harness::trace_export::run_trace_flag(args, &mut runner));
-
-    if let Some(path) = bench_path {
-        println!("\n== thread-pool wall-clock benchmark ==");
-        let report = harness::bench_json::run_bench(&results.config);
-        print!("{}", harness::bench_json::render(&report));
-        harness::error::or_exit(report.write_json(&path));
-        println!("benchmark rows written to {path}");
-        println!("{}", report.verdict());
-
-        println!("\n== SoA hot-path benchmark (seed vs optimized) ==");
-        let pr5 = harness::bench_pr5::run_bench(&results.config);
-        print!("{}", harness::bench_pr5::render(&pr5));
-        let pr5_path = sibling_path(&path, "BENCH_pr5.json");
-        harness::error::or_exit(pr5.write_json(&pr5_path));
-        println!("hot-path rows written to {pr5_path}");
-        println!("{}", pr5.verdict());
-
-        println!("\n== out-of-core tree-pipeline benchmark ==");
-        let pr10 = harness::bench_pr10::run_bench(&results.config);
-        print!("{}", harness::bench_pr10::render(&pr10));
-        let pr10_path = sibling_path(&path, "BENCH_pr10.json");
-        harness::error::or_exit(pr10.write_json(&pr10_path));
-        println!("out-of-core rows written to {pr10_path}");
-        println!("{}", pr10.verdict());
-    }
 
     if let Some(seed) = results.config.fault_seed {
         println!("\n== fault-recovery smoke (seed {seed}) ==");
@@ -161,4 +130,83 @@ fn suite(args: &[String]) {
         print!("{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter().position(|a| a == flag).and_then(|p| args.get(p + 1)).map(String::as_str)
+}
+
+/// The benchmark suite.
+fn bench(args: &[String]) {
+    let mut cfg = harness::config_from_args(args);
+    if let Some(value) = args.iter().position(|a| a == "--n").map(|p| args.get(p + 1)) {
+        let value = value.cloned().unwrap_or_default();
+        let n = value.parse::<usize>().ok().filter(|&n| n >= 1);
+        let bad = harness::error::HarnessError::BadFlag { flag: "--n".into(), value };
+        cfg.sizes = vec![harness::error::or_exit(n.ok_or(bad))];
+    }
+    println!("== benchmark suite ==\n");
+    let report = harness::bench::run_bench(&cfg);
+    print!("{}", harness::bench::render(&report));
+    if let Some(path) = flag_value(args, "--json") {
+        harness::error::or_exit(report.write_json(path));
+        println!("benchmark rows written to {path}");
+    }
+    let verdict = report.verdict();
+    println!("{verdict}");
+    if verdict.starts_with("BENCH FAIL") {
+        std::process::exit(1);
+    }
+}
+
+/// Prints `message` and exits 2 (usage or corrupt input).
+fn usage_error(message: String) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// The committed-trajectory gate.
+fn bench_history(args: &[String]) {
+    let Some(path) = flag_value(args, "--history") else {
+        usage_error(
+            "usage: repro-all bench-history --history <jsonl> \
+             [--ingest <BENCH.json> --label L [--write]] [--inject-slowdown F]"
+                .into(),
+        );
+    };
+    let mut hist = match std::fs::read_to_string(path) {
+        Ok(text) => History::parse(&text)
+            .unwrap_or_else(|e| usage_error(format!("corrupt history {path}: {e}"))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => History::default(),
+        Err(e) => usage_error(format!("cannot read {path}: {e}")),
+    };
+    if let Some(bench_path) = flag_value(args, "--ingest") {
+        let text = std::fs::read_to_string(bench_path)
+            .unwrap_or_else(|e| usage_error(format!("cannot read {bench_path}: {e}")));
+        let mut report = BenchReport::from_json(&text)
+            .unwrap_or_else(|e| usage_error(format!("corrupt bench report {bench_path}: {e}")));
+        let slowdown = flag_value(args, "--inject-slowdown").map(|v| {
+            v.parse::<f64>()
+                .unwrap_or_else(|_| usage_error(format!("bad value for --inject-slowdown: {v}")))
+        });
+        if let Some(factor) = slowdown {
+            history::inject_slowdown(&mut report, factor);
+            println!("injected synthetic {factor}x slowdown of every wall row (never written)");
+        }
+        let label = flag_value(args, "--label").unwrap_or("local");
+        let seq = hist.append(label, report).seq;
+        println!("ingested {bench_path} as entry {seq} ({label})");
+        if args.iter().any(|a| a == "--write") {
+            if slowdown.is_some() {
+                usage_error("refusing to --write an --inject-slowdown entry".into());
+            }
+            std::fs::write(path, hist.render_jsonl())
+                .unwrap_or_else(|e| usage_error(format!("cannot write {path}: {e}")));
+            println!("wrote {path} ({} entries)", hist.entries.len());
+        }
+    }
+    print!("{}", hist.render_trajectory());
+    let verdict = history::verdict(&hist);
+    println!("{verdict}");
+    std::process::exit(i32::from(verdict.contains("FAIL")));
 }

@@ -14,23 +14,20 @@
 //! | [`imbalance`] | ragged-list load-imbalance ablation | `repro-all imbalance [N]` |
 //! | [`drift`] | integrator energy-drift study | `repro-all drift [N]` |
 //! | [`whatif`] | what-if device comparison | `repro-all whatif [N]` |
+//! | [`bench`](mod@bench) | the benchmark suite: one row schema, one verdict | `repro-all bench` |
+//! | [`bench::history`] | committed trajectory gate | `repro-all bench-history` |
 //!
-//! `repro-all` with no subcommand runs the full suite. The suite and the
-//! figure/table subcommands accept `--quick`
+//! `repro-all` with no subcommand runs the full suite. The suite, the
+//! figure/table subcommands and `bench` accept `--quick`
 //! for a reduced sweep, `--faults <seed>` for deterministic fault
 //! injection (see [`faults`]), `--threads <N>` to pin the host
 //! worker-thread count (results are bit-exact across thread counts; the
 //! `NBODY_THREADS` environment variable is the flagless equivalent), and
 //! the out-of-core trio `--shards <N>` / `--mem-budget <bytes>` /
 //! `--device-tree` (Morton-sharded streaming and the on-device tree
-//! pipeline — bit-exact vs the in-core host path, gated by
-//! [`bench_pr10`]); the three studies take a body count and `--threads`;
-//! the suite additionally accepts `--bench-json [path]` to measure and
-//! record the thread-pool wall-clock speedups (see [`bench_json`]) plus
-//! the seed-vs-optimized hot-path comparison (see [`bench_pr5`], written
-//! next to the thread-pool rows as `BENCH_pr5.json`; build with
-//! `--features alloc-count` to also gate steady-state heap allocations at
-//! zero); the suite and the fig4/fig5/table2/table3 subcommands accept
+//! pipeline — bit-exact vs the in-core host path, gated by [`bench`](mod@bench)); the
+//! three studies take a body count and `--threads`; the suite and the
+//! fig4/fig5/table2/table3 subcommands accept
 //! `--trace <path>` to also write an execution trace of all four plans
 //! (Chrome trace JSON, or CSV when the path ends in `.csv` — see
 //! [`trace_export`]). The `trace` binary captures traces without running
@@ -39,9 +36,7 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_json;
-pub mod bench_pr10;
-pub mod bench_pr5;
+pub mod bench;
 pub mod chart;
 pub mod config;
 pub mod cpu_baseline;

@@ -173,12 +173,9 @@ impl Backend for SimBackend {
         set: &ParticleSet,
         params: &GravityParams,
     ) -> PlanOutcome {
-        // one evaluation is one buffer scope: a long-lived backend does not
-        // grow with every step, and the outcome's peak is this evaluation's
-        let mark = self.device.mark_buffers();
-        let outcome = crate::make_plan(plan, self.config).evaluate(&mut self.device, set, params);
-        self.device.release_buffers(mark);
-        outcome
+        // every plan evaluation is one buffer scope (`Device::evaluation`),
+        // so a long-lived backend does not grow with every step
+        crate::make_plan(plan, self.config).evaluate(&mut self.device, set, params)
     }
 
     fn device(&self) -> Option<&Device> {

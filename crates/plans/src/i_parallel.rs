@@ -183,49 +183,49 @@ impl ExecutionPlan for IParallel {
     ) -> PlanOutcome {
         assert!(params.softening > 0.0, "device plans require softening > 0");
         self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
+        device.evaluation(|device| {
+            let n = set.len();
+            let p = self.config.block_size;
+            let n_padded = n.div_ceil(p).max(1) * p;
 
-        let n = set.len();
-        let p = self.config.block_size;
-        let n_padded = n.div_ceil(p).max(1) * p;
+            let packed = packed_padded(set, n_padded);
+            device.annotate("i-parallel: upload");
+            let pos_mass = device.alloc_f32(packed.len());
+            crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
+            let acc_out = device.alloc_f32(n * 4);
 
-        let packed = packed_padded(set, n_padded);
-        device.annotate("i-parallel: upload");
-        let pos_mass = device.alloc_f32(packed.len());
-        crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
-        let acc_out = device.alloc_f32(n * 4);
+            let kernel = IParallelKernel {
+                pos_mass,
+                acc_out,
+                n,
+                n_padded,
+                block: p,
+                eps_sq: (params.eps_sq()) as f32,
+            };
+            device.annotate("i-parallel: force-eval");
+            crate::recover::launch_with_recovery(
+                device,
+                &kernel,
+                NdRange { global: n_padded, local: p },
+            );
+            device.annotate("i-parallel: download");
+            let acc = download_acc(device, acc_out, n, params.g);
 
-        let kernel = IParallelKernel {
-            pos_mass,
-            acc_out,
-            n,
-            n_padded,
-            block: p,
-            eps_sq: (params.eps_sq()) as f32,
-        };
-        device.annotate("i-parallel: force-eval");
-        crate::recover::launch_with_recovery(
-            device,
-            &kernel,
-            NdRange { global: n_padded, local: p },
-        );
-        device.annotate("i-parallel: download");
-        let acc = download_acc(device, acc_out, n, params.g);
-
-        PlanOutcome {
-            acc,
-            interactions: (n as u64) * (n as u64),
-            host_tree_s: 0.0,
-            host_walk_s: 0.0,
-            host_measured_s: 0.0,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: false,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+            PlanOutcome {
+                acc,
+                interactions: (n as u64) * (n as u64),
+                host_tree_s: 0.0,
+                host_walk_s: 0.0,
+                host_measured_s: 0.0,
+                kernel_s: device.kernel_seconds(),
+                transfer_s: device.transfer_seconds(),
+                recovery_s: device.stall_seconds(),
+                launches: device.launches().len(),
+                overlap_walk_with_kernel: false,
+                peak_device_bytes: device.debug_pool().peak_bytes(),
+                ..PlanOutcome::empty()
+            }
+        })
     }
 }
 

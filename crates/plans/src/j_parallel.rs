@@ -270,49 +270,60 @@ impl ExecutionPlan for JParallel {
     ) -> PlanOutcome {
         assert!(params.softening > 0.0, "device plans require softening > 0");
         self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
+        device.evaluation(|device| {
+            let n = set.len();
+            let p = self.config.block_size;
+            let n_padded = n.div_ceil(p).max(1) * p;
+            let s_count = self.slices_for(n, device.spec());
+            let slice_len = n_padded.div_ceil(s_count);
 
-        let n = set.len();
-        let p = self.config.block_size;
-        let n_padded = n.div_ceil(p).max(1) * p;
-        let s_count = self.slices_for(n, device.spec());
-        let slice_len = n_padded.div_ceil(s_count);
+            let packed = packed_padded(set, n_padded);
+            device.annotate("j-parallel: upload");
+            let pos_mass = device.alloc_f32(packed.len());
+            crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
+            let partial = device.alloc_f32(s_count * n_padded * 4);
+            let acc_out = device.alloc_f32(n * 4);
 
-        let packed = packed_padded(set, n_padded);
-        device.annotate("j-parallel: upload");
-        let pos_mass = device.alloc_f32(packed.len());
-        crate::recover::upload_f32_with_recovery(device, pos_mass, &packed);
-        let partial = device.alloc_f32(s_count * n_padded * 4);
-        let acc_out = device.alloc_f32(n * 4);
+            let eps_sq = params.eps_sq() as f32;
+            let k1 = JPartialKernel {
+                pos_mass,
+                partial,
+                n_padded,
+                block: p,
+                s_count,
+                slice_len,
+                eps_sq,
+            };
+            let groups = (n_padded / p) * s_count;
+            device.annotate("j-parallel: force-eval");
+            crate::recover::launch_with_recovery(
+                device,
+                &k1,
+                NdRange { global: groups * p, local: p },
+            );
 
-        let eps_sq = params.eps_sq() as f32;
-        let k1 =
-            JPartialKernel { pos_mass, partial, n_padded, block: p, s_count, slice_len, eps_sq };
-        let groups = (n_padded / p) * s_count;
-        device.annotate("j-parallel: force-eval");
-        crate::recover::launch_with_recovery(device, &k1, NdRange { global: groups * p, local: p });
+            let k2 = JReduceKernel { partial, acc_out, n, n_padded, s_count };
+            device.annotate("j-parallel: reduction");
+            crate::recover::launch_with_recovery(device, &k2, NdRange::round_up(n, p.min(256)));
 
-        let k2 = JReduceKernel { partial, acc_out, n, n_padded, s_count };
-        device.annotate("j-parallel: reduction");
-        crate::recover::launch_with_recovery(device, &k2, NdRange::round_up(n, p.min(256)));
+            device.annotate("j-parallel: download");
+            let acc = download_acc(device, acc_out, n, params.g);
 
-        device.annotate("j-parallel: download");
-        let acc = download_acc(device, acc_out, n, params.g);
-
-        PlanOutcome {
-            acc,
-            interactions: (n as u64) * (n as u64),
-            host_tree_s: 0.0,
-            host_walk_s: 0.0,
-            host_measured_s: 0.0,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: false,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+            PlanOutcome {
+                acc,
+                interactions: (n as u64) * (n as u64),
+                host_tree_s: 0.0,
+                host_walk_s: 0.0,
+                host_measured_s: 0.0,
+                kernel_s: device.kernel_seconds(),
+                transfer_s: device.transfer_seconds(),
+                recovery_s: device.stall_seconds(),
+                launches: device.launches().len(),
+                overlap_walk_with_kernel: false,
+                peak_device_bytes: device.debug_pool().peak_bytes(),
+                ..PlanOutcome::empty()
+            }
+        })
     }
 }
 

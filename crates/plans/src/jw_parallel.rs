@@ -331,29 +331,29 @@ impl ExecutionPlan for JwParallel {
         }
         assert!(params.softening > 0.0, "device plans require softening > 0");
         self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
+        device.evaluation(|device| {
+            let n = set.len();
+            let prep = prepare_walks(set, &self.config);
+            let packed = &prep.packed;
+            let total_entries = packed.list_data.len() / 4;
 
-        let n = set.len();
-        let prep = prepare_walks(set, &self.config);
-        let packed = &prep.packed;
-        let total_entries = packed.list_data.len() / 4;
+            let acc = run_jw_kernels(device, set, packed, &self.config, params);
 
-        let acc = run_jw_kernels(device, set, packed, &self.config, params);
-
-        PlanOutcome {
-            acc,
-            interactions: packed.interactions,
-            host_tree_s: self.config.host_model.tree_seconds(n),
-            host_walk_s: self.config.host_model.walk_seconds(total_entries),
-            host_measured_s: prep.tree_s + prep.walk_s,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: true,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+            PlanOutcome {
+                acc,
+                interactions: packed.interactions,
+                host_tree_s: self.config.host_model.tree_seconds(n),
+                host_walk_s: self.config.host_model.walk_seconds(total_entries),
+                host_measured_s: prep.tree_s + prep.walk_s,
+                kernel_s: device.kernel_seconds(),
+                transfer_s: device.transfer_seconds(),
+                recovery_s: device.stall_seconds(),
+                launches: device.launches().len(),
+                overlap_walk_with_kernel: true,
+                peak_device_bytes: device.debug_pool().peak_bytes(),
+                ..PlanOutcome::empty()
+            }
+        })
     }
 }
 

@@ -210,9 +210,9 @@ impl MultiGpuJw {
                             let packed: PackedWalks =
                                 pack_walks(&sub, tree_ref, set, config.walk_size);
                             let pack_s = tp.elapsed().as_secs_f64();
-                            device.reset_clocks();
-                            let result =
-                                try_run_jw_kernels(&mut device, set, &packed, config, params);
+                            let result = device.evaluation(|device| {
+                                try_run_jw_kernels(device, set, &packed, config, params)
+                            });
                             let entries = packed.list_data.len() / 4;
                             (di, bucket, device, result, packed.interactions, entries, pack_s)
                         }

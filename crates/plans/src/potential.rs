@@ -126,27 +126,28 @@ pub fn potential_on_device(
     config: &PlanConfig,
 ) -> (f64, f64) {
     assert!(params.softening > 0.0, "device diagnostics require softening > 0");
-    device.reset_clocks();
-    let n = set.len();
-    let p = config.block_size;
-    let n_padded = n.div_ceil(p).max(1) * p;
-    let packed = packed_padded(set, n_padded);
-    let pos_mass = device.alloc_f32(packed.len());
-    device.upload_f32(pos_mass, &packed);
-    let pot_out = device.alloc_f32(n);
-    let kernel = PotentialKernel {
-        pos_mass,
-        pot_out,
-        n,
-        n_padded,
-        block: p,
-        eps_sq: params.eps_sq() as f32,
-    };
-    device.launch(&kernel, NdRange { global: n_padded, local: p });
-    let per_body = device.download_f32(pot_out);
-    // each unordered pair counted twice
-    let total: f64 = per_body.iter().map(|&v| f64::from(v)).sum::<f64>() * 0.5 * params.g;
-    (total, device.device_seconds())
+    device.evaluation(|device| {
+        let n = set.len();
+        let p = config.block_size;
+        let n_padded = n.div_ceil(p).max(1) * p;
+        let packed = packed_padded(set, n_padded);
+        let pos_mass = device.alloc_f32(packed.len());
+        device.upload_f32(pos_mass, &packed);
+        let pot_out = device.alloc_f32(n);
+        let kernel = PotentialKernel {
+            pos_mass,
+            pot_out,
+            n,
+            n_padded,
+            block: p,
+            eps_sq: params.eps_sq() as f32,
+        };
+        device.launch(&kernel, NdRange { global: n_padded, local: p });
+        let per_body = device.download_f32(pot_out);
+        // each unordered pair counted twice
+        let total: f64 = per_body.iter().map(|&v| f64::from(v)).sum::<f64>() * 0.5 * params.g;
+        (total, device.device_seconds())
+    })
 }
 
 #[cfg(test)]

@@ -1023,16 +1023,20 @@ pub fn evaluate_tree_plan(
     assert!(params.softening > 0.0, "device plans require softening > 0");
     assert!(kind.uses_tree(), "tree pipeline only serves the tree plans");
     config.validate(device.spec()).expect("invalid plan config");
-    device.reset_clocks();
-    if set.is_empty() {
-        return TreePipelineRun { outcome: PlanOutcome::empty(), shape: PipelineShape::default() };
-    }
-    let wall = Instant::now();
-    if config.device_tree {
-        evaluate_device_tree(kind, config, device, set, params, wall)
-    } else {
-        evaluate_host_tree_sharded(kind, config, device, set, params, wall)
-    }
+    device.evaluation(|device| {
+        if set.is_empty() {
+            return TreePipelineRun {
+                outcome: PlanOutcome::empty(),
+                shape: PipelineShape::default(),
+            };
+        }
+        let wall = Instant::now();
+        if config.device_tree {
+            evaluate_device_tree(kind, config, device, set, params, wall)
+        } else {
+            evaluate_host_tree_sharded(kind, config, device, set, params, wall)
+        }
+    })
 }
 
 fn evaluate_device_tree(
@@ -1379,6 +1383,43 @@ mod tests {
         assert_eq!(sharded.acc, legacy.acc);
         assert!(sharded.shards_used > 1);
         assert!(!sharded.overlap_walk_with_kernel || sharded.shards_used > 1);
+    }
+
+    #[test]
+    fn evaluations_on_a_reused_device_free_their_buffers() {
+        // every direct evaluation is its own buffer scope: three in a row on
+        // one device report the same per-evaluation peak and leave the pool
+        // as they found it (the budgeted configs size their shards from the
+        // bytes already live, so retained buffers would change them)
+        let set = random_set(3000, 11);
+        let p = params();
+        let budgeted = PlanConfig { mem_budget_bytes: Some(200_000), ..Default::default() };
+        let device_tree = PlanConfig { device_tree: true, ..Default::default() };
+        let mut dev = device();
+        let start = dev.debug_pool().total_bytes();
+        let mut check = |what: &str, run: &mut dyn FnMut(&mut Device) -> PlanOutcome| {
+            let runs: Vec<PlanOutcome> = (0..3).map(|_| run(&mut dev)).collect();
+            for r in &runs[1..] {
+                assert_eq!(r.peak_device_bytes, runs[0].peak_device_bytes, "{what}: peak");
+                assert_eq!(r.shards_used, runs[0].shards_used, "{what}: shards");
+                assert_eq!(r.acc, runs[0].acc, "{what}: forces");
+            }
+            assert!(runs[0].peak_device_bytes > 0, "{what}");
+            assert_eq!(dev.debug_pool().total_bytes(), start, "{what}: buffers left behind");
+        };
+        for config in [budgeted, device_tree] {
+            for kind in [PlanKind::WParallel, PlanKind::JwParallel] {
+                check(&format!("evaluate_tree_plan {kind:?} {config:?}"), &mut |d| {
+                    evaluate_tree_plan(kind, &config, d, &set, &p).outcome
+                });
+            }
+        }
+        for config in [PlanConfig::default(), budgeted] {
+            for kind in PlanKind::all() {
+                let plan = crate::make_plan(kind, config);
+                check(&format!("{kind:?} {config:?}"), &mut |d| plan.evaluate(d, &set, &p));
+            }
+        }
     }
 
     #[test]

@@ -304,58 +304,58 @@ impl ExecutionPlan for WParallel {
         }
         assert!(params.softening > 0.0, "device plans require softening > 0");
         self.config.validate(device.spec()).expect("invalid plan config");
-        device.reset_clocks();
+        device.evaluation(|device| {
+            let n = set.len();
+            let prep = prepare_walks(set, &self.config);
+            let packed = &prep.packed;
+            let num_walks = packed.walk_desc.len();
+            let entries = packed.list_data.len() / 4;
 
-        let n = set.len();
-        let prep = prepare_walks(set, &self.config);
-        let packed = &prep.packed;
-        let num_walks = packed.walk_desc.len();
-        let entries = packed.list_data.len() / 4;
+            device.annotate("w-parallel: upload");
+            let pos_mass = device.alloc_f32(n * 4);
+            crate::recover::upload_f32_with_recovery(device, pos_mass, &set.pack_pos_mass_f32());
+            let list_data = device.alloc_f32(packed.list_data.len().max(1));
+            crate::recover::upload_f32_with_recovery(device, list_data, &packed.list_data);
+            let targets = device.alloc_u32(packed.targets.len().max(1));
+            crate::recover::upload_u32_with_recovery(device, targets, &packed.targets);
+            let acc_out = device.alloc_f32(n * 4);
 
-        device.annotate("w-parallel: upload");
-        let pos_mass = device.alloc_f32(n * 4);
-        crate::recover::upload_f32_with_recovery(device, pos_mass, &set.pack_pos_mass_f32());
-        let list_data = device.alloc_f32(packed.list_data.len().max(1));
-        crate::recover::upload_f32_with_recovery(device, list_data, &packed.list_data);
-        let targets = device.alloc_u32(packed.targets.len().max(1));
-        crate::recover::upload_u32_with_recovery(device, targets, &packed.targets);
-        let acc_out = device.alloc_f32(n * 4);
+            let kernel = WWalkKernel {
+                list_data,
+                targets,
+                pos_mass,
+                acc_out,
+                walk_desc: packed.walk_desc.clone(),
+                walk_size: self.config.walk_size,
+                eps_sq: params.eps_sq() as f32,
+            };
+            device.annotate("w-parallel: force-eval");
+            crate::recover::launch_with_recovery(
+                device,
+                &kernel,
+                NdRange {
+                    global: num_walks.max(1) * self.config.walk_size,
+                    local: self.config.walk_size,
+                },
+            );
+            device.annotate("w-parallel: download");
+            let acc = download_acc(device, acc_out, n, params.g);
 
-        let kernel = WWalkKernel {
-            list_data,
-            targets,
-            pos_mass,
-            acc_out,
-            walk_desc: packed.walk_desc.clone(),
-            walk_size: self.config.walk_size,
-            eps_sq: params.eps_sq() as f32,
-        };
-        device.annotate("w-parallel: force-eval");
-        crate::recover::launch_with_recovery(
-            device,
-            &kernel,
-            NdRange {
-                global: num_walks.max(1) * self.config.walk_size,
-                local: self.config.walk_size,
-            },
-        );
-        device.annotate("w-parallel: download");
-        let acc = download_acc(device, acc_out, n, params.g);
-
-        PlanOutcome {
-            acc,
-            interactions: packed.interactions,
-            host_tree_s: self.config.host_model.tree_seconds(n),
-            host_walk_s: self.config.host_model.walk_seconds(entries),
-            host_measured_s: prep.tree_s + prep.walk_s,
-            kernel_s: device.kernel_seconds(),
-            transfer_s: device.transfer_seconds(),
-            recovery_s: device.stall_seconds(),
-            launches: device.launches().len(),
-            overlap_walk_with_kernel: true,
-            peak_device_bytes: device.debug_pool().peak_bytes(),
-            ..PlanOutcome::empty()
-        }
+            PlanOutcome {
+                acc,
+                interactions: packed.interactions,
+                host_tree_s: self.config.host_model.tree_seconds(n),
+                host_walk_s: self.config.host_model.walk_seconds(entries),
+                host_measured_s: prep.tree_s + prep.walk_s,
+                kernel_s: device.kernel_seconds(),
+                transfer_s: device.transfer_seconds(),
+                recovery_s: device.stall_seconds(),
+                launches: device.launches().len(),
+                overlap_walk_with_kernel: true,
+                peak_device_bytes: device.debug_pool().peak_bytes(),
+                ..PlanOutcome::empty()
+            }
+        })
     }
 }
 
